@@ -11,8 +11,10 @@ are permitted, exact duplicates are removed.
 
 Enumeration order is canonical: node count, then adjacency bitmask, then
 valuation bitmask (sorted atoms, first atom in the least significant bits).
-The numpy path evaluates a whole valuation block per frame at once and agrees
-with the naive enumeration order, so "first countermodel" is well defined.
+The fast path evaluates a whole chunk of valuations per frame at once,
+bit-sliced on Python ints: one int per subformula holds, for every node, one
+bit per valuation.  It reports the least failing valuation, then the least
+node, so "first countermodel" is the one the naive enumeration meets first.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from . import kripke
 from .budget import Budget
 from .formulas import And, Atom, Bot, Box, Formula, Imp, Neg, Or, Top, atoms as formula_atoms
 from .kripke import BOT_KEY, FrameClass, KripkeModel
@@ -276,16 +277,16 @@ def enumerate_models(max_nodes: int, frame_class: FrameClass, atom_set: Sequence
                 yield frame_model(frame, masks, frame_class)
 
 
-_DTYPE = np.uint16
-
-
 class CompiledFormulas:
-    """Linearized subformula DAG, evaluated per frame over a valuation block.
+    """Linearized subformula DAG, evaluated bit-sliced per frame over a chunk.
 
-    Each slot holds the truth of one subformula as a node-bitmask array over
-    all valuations in the block.  flavor None means classical/modal forcing;
-    a flavor string selects the persistent propositional clauses (Imp
-    quantifies over successors, bot reads the BOT_KEY atom under MPC).
+    Each slot holds the truth of one subformula as one int of ``n`` segments
+    of ``length`` bits: bit ``i * length + v`` is the truth at node ``i``
+    under valuation ``v`` of the chunk.  Connectives are word operations;
+    box is, per node, the AND of its successors' segments.  flavor None
+    means classical/modal forcing; a flavor string selects the persistent
+    propositional clauses (Imp is the box of ``~A \\/ B`` over successors,
+    bot reads the BOT_KEY atom under MPC).
     """
 
     def __init__(self, formulas: Sequence[Formula], flavor: str | None):
@@ -330,56 +331,81 @@ class CompiledFormulas:
                 return self._emit(f, ("box", self._compile(sub)))
         raise TypeError(f"not a formula: {f!r}")
 
-    def run(self, atom_arrays: dict[str, np.ndarray], frame: "_Frame", length: int) -> list[np.ndarray]:
-        full = _DTYPE((1 << frame.n) - 1)
-        zeros = np.zeros(length, dtype=_DTYPE)
-        succ = frame.succ_masks
-        vals: list[np.ndarray] = []
+    def run(self, atom_blocks: dict[str, int], frame: _Frame, length: int) -> list[int]:
+        n = frame.n
+        seg = (1 << length) - 1
+        full = (1 << n * length) - 1
+        shifts = [i * length for i in range(n)]
+        succ = [[j for j in range(n) if sm >> j & 1] for sm in frame.succ_masks]
+
+        def box(x: int) -> int:
+            segs = [x >> s & seg for s in shifts]
+            out = 0
+            for s, js in zip(shifts, succ):
+                a = seg
+                for j in js:
+                    a &= segs[j]
+                out |= a << s
+            return out
+
+        vals: list[int] = []
         for op in self.ops:
             code = op[0]
-            if code == "atom":
-                v = atom_arrays.get(op[1], zeros)
-            elif code == "bot":
-                v = zeros
-            elif code == "top":
-                v = np.full(length, full, dtype=_DTYPE)
-            elif code == "and":
+            if code == "and":
                 v = vals[op[1]] & vals[op[2]]
             elif code == "or":
                 v = vals[op[1]] | vals[op[2]]
-            elif code == "neg":
-                v = full & ~vals[op[1]]
             elif code == "imp":
-                v = (full & ~vals[op[1]]) | vals[op[2]]
+                v = vals[op[1]] ^ full | vals[op[2]]
             elif code == "iimp":
-                bad = vals[op[1]] & ~vals[op[2]]
-                v = zeros.copy()
-                for i, sm in enumerate(succ):
-                    if sm == 0:
-                        v |= _DTYPE(1 << i)
-                    else:
-                        v |= ((bad & sm) == 0).astype(_DTYPE) << i
-            else:  # box
-                sv = vals[op[1]]
-                v = zeros.copy()
-                for i, sm in enumerate(succ):
-                    if sm == 0:
-                        v |= _DTYPE(1 << i)
-                    else:
-                        v |= ((sv & sm) == sm).astype(_DTYPE) << i
+                v = box(vals[op[1]] ^ full | vals[op[2]])
+            elif code == "box":
+                v = box(vals[op[1]])
+            elif code == "neg":
+                v = vals[op[1]] ^ full
+            elif code == "atom":
+                v = atom_blocks[op[1]]
+            elif code == "bot":
+                v = 0
+            else:  # top
+                v = full
             vals.append(v)
         return [vals[r] for r in self.roots]
 
 
-def _chunk_atom_arrays(
-    names: list[str], allowed: np.ndarray, start: int, stop: int
-) -> dict[str, np.ndarray]:
-    idx = np.arange(start, stop, dtype=np.int64)
+def _atom_blocks(
+    names: list[str], allowed: list[int], n: int, start: int, length: int
+) -> dict[str, int]:
+    """Bit-sliced truth of each atom over valuations start .. start + length - 1.
+
+    Atom k is digit k of the valuation index in base len(allowed): runs of
+    base**k equal valuations, repeating with period base**(k+1).  A period
+    shorter than the chunk is built once and repeated by multiplying with a
+    repunit; a longer one is built on the chunk's own runs.
+    """
     base = len(allowed)
+    seg = (1 << length) - 1
     out = {}
-    for i, name in enumerate(names):
-        digits = (idx // (base**i)) % base
-        out[name] = allowed[digits].astype(_DTYPE)
+    for k, name in enumerate(names):
+        run = base**k
+        period = run * base
+        lo, hi = (0, period) if period < length else (start, start + length)
+        rows = [0] * n
+        for r in range(lo // run, (hi - 1) // run + 1):
+            bits = (1 << min(hi, (r + 1) * run) - lo) - (1 << max(lo, r * run) - lo)
+            mask = allowed[r % base]
+            while mask:
+                low = mask & -mask
+                rows[low.bit_length() - 1] |= bits
+                mask ^= low
+        if period < length:
+            offset = start % period
+            repunit, width = 1, period
+            while width < offset + length:
+                repunit |= repunit << width
+                width <<= 1
+            rows = [row * repunit >> offset & seg for row in rows]
+        out[name] = sum(row << i * length for i, row in enumerate(rows))
     return out
 
 
@@ -387,37 +413,55 @@ def _scan_frames(
     frame_class: FrameClass, max_nodes: int, names: list[str], budget: Budget | None,
     rooted: bool = False,
 ):
-    """Yield (frame, chunk_start, atom_arrays, length) blocks in canonical order."""
+    """Yield (frame, atom_blocks, length) chunks in canonical order."""
     persistent = _persistent(frame_class)
     source = rooted_frames_of_size if rooted else frames_of_size
     for n in range(1, max_nodes + 1):
         for frame in source(frame_class, n):
-            allowed = np.array(_allowed_masks(frame, persistent), dtype=np.int64)
+            allowed = _allowed_masks(frame, persistent)
             total = len(allowed) ** len(names) if names else 1
             for start in range(0, total, _CHUNK):
                 stop = min(start + _CHUNK, total)
                 if budget is not None:
                     budget.spend_models(stop - start)
-                arrays = _chunk_atom_arrays(names, allowed, start, stop)
-                yield frame, start, arrays, stop - start
+                yield frame, _atom_blocks(names, allowed, n, start, stop - start), stop - start
 
 
-def _witness_from_block(
-    frame: _Frame,
-    frame_class: FrameClass,
-    names: list[str],
-    arrays: dict[str, np.ndarray],
-    res: np.ndarray,
-) -> tuple[KripkeModel, str] | None:
-    full = (1 << frame.n) - 1
-    bad = np.nonzero(res != full)[0]
-    if not bad.size:
-        return None
-    v = int(bad[0])
-    masks = {name: int(arrays[name][v]) for name in names}
-    node_bits = int(res[v])
-    node = next(i for i in range(frame.n) if not node_bits >> i & 1)
+def _witness(
+    frame: _Frame, frame_class: FrameClass, atom_blocks: dict[str, int], length: int, bad: int
+) -> tuple[KripkeModel, str]:
+    """Model and node of the least valuation, then least node, set in bad."""
+    seg = (1 << length) - 1
+    rows = [bad >> i * length & seg for i in range(frame.n)]
+    some = 0
+    for row in rows:
+        some |= row
+    v = (some & -some).bit_length() - 1
+    node = next(i for i, row in enumerate(rows) if row >> v & 1)
+    masks = {
+        name: sum((block >> i * length + v & 1) << i for i in range(frame.n))
+        for name, block in atom_blocks.items()
+    }
     return frame_model(frame, masks, frame_class), _node_name(node)
+
+
+def _verified(
+    hit: tuple[KripkeModel, str], gamma: Sequence[Formula], a: Formula, frame_class: FrameClass
+) -> tuple[KripkeModel, str]:
+    """Return hit after the naive forcing checker confirms gamma holds and a fails there.
+
+    Raises AssertionError on disagreement, also under ``python -O``.
+    """
+    model, node = hit
+    if frame_class.kind == "Int":
+        def forced(g: Formula) -> bool:
+            return kripke.check_int(model, node, g, frame_class.flavor)
+    else:
+        def forced(g: Formula) -> bool:
+            return kripke.check(model, node, g)
+    if forced(a) or not all(forced(g) for g in gamma):
+        raise AssertionError("countermodel failed re-verification")
+    return hit
 
 
 def _names_for(formulas: Sequence[Formula], frame_class: FrameClass) -> tuple[list[str], str | None]:
@@ -440,23 +484,17 @@ def find_countermodel(
     """First enumerated model and node refuting f, or None if none within bound.
 
     Hits are re-verified through the naive forcing checker before being
-    returned, keeping the vectorized evaluator honest.
+    returned, keeping the bit-sliced evaluator honest.
     """
-    from .kripke import check, check_int
-
     names, flavor = _names_for([f], frame_class)
     names = sorted(set(names) | set(extra_atoms))
     prog = CompiledFormulas([f], flavor)
-    for frame, _start, arrays, length in _scan_frames(frame_class, max_nodes, names, budget):
-        (res,) = prog.run(arrays, frame, length)
-        hit = _witness_from_block(frame, frame_class, names, arrays, res)
-        if hit is not None:
-            model, node = hit
-            if flavor is None:
-                assert not check(model, node, f)
-            else:
-                assert not check_int(model, node, f, flavor)
-            return hit
+    for frame, blocks, length in _scan_frames(frame_class, max_nodes, names, budget):
+        full = (1 << frame.n * length) - 1
+        (res,) = prog.run(blocks, frame, length)
+        if res != full:
+            hit = _witness(frame, frame_class, blocks, length, res ^ full)
+            return _verified(hit, (), f, frame_class)
     return None
 
 
@@ -478,24 +516,17 @@ def sweep_refutations(
     pending = list(dict.fromkeys(formulas))
     if not pending:
         return result
-    from .kripke import check, check_int
-
     prog = CompiledFormulas(pending, flavor)
-    for frame, _start, arrays, length in _scan_frames(frame_class, max_nodes, names, budget,
-                                                      rooted=True):
-        roots = prog.run(arrays, frame, length)
+    for frame, blocks, length in _scan_frames(frame_class, max_nodes, names, budget, rooted=True):
+        full = (1 << frame.n * length) - 1
+        roots = prog.run(blocks, frame, length)
         still = []
         for f, res in zip(pending, roots):
-            hit = _witness_from_block(frame, frame_class, names, arrays, res)
-            if hit is not None:
-                model, node = hit
-                if flavor is None:
-                    assert not check(model, node, f)
-                else:
-                    assert not check_int(model, node, f, flavor)
-                result[f] = hit
-            else:
+            if res == full:
                 still.append(f)
+            else:
+                hit = _witness(frame, frame_class, blocks, length, res ^ full)
+                result[f] = _verified(hit, (), f, frame_class)
         if len(still) != len(pending):
             pending = still
             if not pending:
@@ -518,24 +549,18 @@ def find_entailment_countermodel(
     """First model and node forcing every member of gamma but not a.
 
     Needed for the persistent semantics, where 'gamma holds and a fails at a
-    node' is not expressible as the failure of a single formula.
+    node' is not expressible as the failure of a single formula.  Hits are
+    re-verified through the naive forcing checker.
     """
     gamma = tuple(gamma)
     names, flavor = _names_for(gamma + (a,), frame_class)
     prog = CompiledFormulas(gamma + (a,), flavor)
-    for frame, _start, arrays, length in _scan_frames(frame_class, max_nodes, names, budget):
-        roots = prog.run(arrays, frame, length)
-        av = roots[-1]
-        full = _DTYPE((1 << frame.n) - 1)
-        gv = np.full(length, full, dtype=_DTYPE)
-        for gres in roots[:-1]:
-            gv = gv & gres
-        bad = gv & ~av & full
-        hit = np.nonzero(bad)[0]
-        if hit.size:
-            v = int(hit[0])
-            masks = {name: int(arrays[name][v]) for name in names}
-            node_bits = int(bad[v])
-            node = next(i for i in range(frame.n) if node_bits >> i & 1)
-            return frame_model(frame, masks, frame_class), _node_name(node)
+    for frame, blocks, length in _scan_frames(frame_class, max_nodes, names, budget):
+        full = (1 << frame.n * length) - 1
+        *held, res = prog.run(blocks, frame, length)
+        bad = res ^ full
+        for g in held:
+            bad &= g
+        if bad:
+            return _verified(_witness(frame, frame_class, blocks, length, bad), gamma, a, frame_class)
     return None

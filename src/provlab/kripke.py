@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .formulas import And, Atom, Bot, Box, Formula, Imp, Neg, Or, Top
 
@@ -371,19 +370,3 @@ def validate_frame(model: KripkeModel, frame_class: FrameClass) -> list[Violatio
         raise ValueError(f"unknown frame class {frame_class!r}")
     return out
 
-
-def singleton_clusters(nodes: Iterable[str]) -> tuple[frozenset[str], ...]:
-    return tuple(frozenset((k,)) for k in nodes)
-
-
-def clusters_from_relation(nodes: tuple[str, ...], relation: frozenset[tuple[str, str]]) -> tuple[frozenset[str], ...]:
-    """Mutual-reachability classes of a transitive relation, in node order."""
-    out = []
-    done: set[str] = set()
-    for k in nodes:
-        if k in done:
-            continue
-        c = {k} | {m for m in nodes if (k, m) in relation and (m, k) in relation}
-        out.append(frozenset(c))
-        done |= c
-    return tuple(out)

@@ -88,9 +88,6 @@ def unwind(model: KripkeModel, a: Formula, t: Witness) -> KripkeModel:
         else:
             pieces[cluster] = _cluster_paths(members, n + 2)
 
-    def name_of(cluster: frozenset[str], path: tuple[str, ...]) -> str:
-        return _path_name(path)
-
     nodes: list[str] = []
     lengths: dict[str, int] = {}
     endpoint: dict[str, str] = {}
@@ -98,7 +95,7 @@ def unwind(model: KripkeModel, a: Formula, t: Witness) -> KripkeModel:
     for cluster in model.clusters:
         irrefl = len(cluster) == 1 and not reflexive[next(iter(cluster))]
         for path in pieces[cluster]:
-            name = name_of(cluster, path)
+            name = _path_name(path)
             nodes.append(name)
             lengths[name] = len(path)
             endpoint[name] = path[-1]
@@ -117,16 +114,16 @@ def unwind(model: KripkeModel, a: Formula, t: Witness) -> KripkeModel:
         seen_pairs.add((cx, cy))
         for pa in pieces[cx]:
             for pb in pieces[cy]:
-                rel.add((name_of(cx, pa), name_of(cy, pb)))
+                rel.add((_path_name(pa), _path_name(pb)))
     # R2: proper initial segments within each reflexive cluster
     for cluster in model.clusters:
         ps = pieces[cluster]
-        if len(ps) == 1 and is_orig_irrefl[name_of(cluster, ps[0])]:
+        if len(ps) == 1 and is_orig_irrefl[_path_name(ps[0])]:
             continue
         for pa in ps:
             for pb in ps:
                 if len(pa) < len(pb) and pb[: len(pa)] == pa:
-                    rel.add((name_of(cluster, pa), name_of(cluster, pb)))
+                    rel.add((_path_name(pa), _path_name(pb)))
 
     valuation: dict[str, frozenset[str]] = {}
     for atom, extension in model.valuation.items():

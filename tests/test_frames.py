@@ -2,16 +2,19 @@ import itertools
 
 import pytest
 
+from provlab import frames
 from provlab.budget import Budget, BudgetExhausted
-from provlab.formulas import Atom, parse_modal, parse_prop
+from provlab.formulas import Atom, atoms, parse_modal, parse_prop
 from provlab.frames import (
     enumerate_models,
     find_countermodel,
+    find_entailment_countermodel,
     frames_of_size,
     sweep_refutations,
     valid_within_bound,
 )
 from provlab.kripke import (
+    BOT_KEY,
     GL_FRAME,
     K4_FRAME,
     KD4_FRAME,
@@ -152,19 +155,66 @@ def test_find_countermodel_absent_for_s4_theorem():
     assert find_countermodel(parse_modal("~[](~[]p /\\ p)"), S4_FRAME, 4) is None
 
 
-def test_find_countermodel_matches_naive_enumeration():
-    f = parse_modal("[](p \\/ q) -> []p \\/ []q")
-    hit = find_countermodel(f, K4_FRAME, 3)
-    assert hit is not None
-    model, node = hit
-    for m in enumerate_models(3, K4_FRAME, sorted({"p", "q"})):
-        refuters = [k for k in m.nodes if not check(m, k, f)]
-        if refuters:
-            assert m.to_json() == model.to_json()
-            assert refuters[0] == node
-            break
+# Every connective of the fast path: top, bot, ~, [] (or the persistent ->),
+# /\, \/, and under MPC the bot atom.  Box-free texts go through parse_modal
+# so that ~ stays a negation node.
+MODAL_TEXTS = [
+    "[](p \\/ q) -> []p \\/ []q",
+    "~[]bot -> [](top /\\ ~p) \\/ []q",
+    "[]([]p -> p) -> []p",
+    "p /\\ ~[]q -> [](bot \\/ q)",
+    "[]p -> [][]p",
+]
+PROP_TEXTS = [
+    "p \\/ ~p",
+    "(~~p -> p) \\/ (top -> q)",
+    "bot -> p",
+    "((p -> q) -> p) -> p",
+    "~(p /\\ ~p) /\\ (q -> top)",
+    "p -> q \\/ bot",
+]
+DIFF_CLASSES = [(fc, MODAL_TEXTS) for fc in (K4_FRAME, KD4_FRAME, S4_FRAME, GL_FRAME)] + [
+    (int_frame(fl), PROP_TEXTS) for fl in ("BPC", "IPC", "FPL", "MPC", "CPC")]
+
+
+def naive_first_refutation(frame_class, gamma, a, max_nodes):
+    """First (model, node) of enumerate_models forcing gamma but not a, by the naive checker."""
+    names = set().union(*(atoms(g) for g in (*gamma, a)))
+    if frame_class.kind == "Int":
+        flavor = frame_class.flavor
+        if flavor == "MPC":
+            names.add(BOT_KEY)
+        forced = lambda m, k, g: check_int(m, k, g, flavor)  # noqa: E731
     else:
-        pytest.fail("naive enumeration found no countermodel")
+        forced = check
+    for m in enumerate_models(max_nodes, frame_class, sorted(names)):
+        for k in m.nodes:
+            if all(forced(m, k, g) for g in gamma) and not forced(m, k, a):
+                return m.to_json(), k
+    return None
+
+
+def as_json(hit):
+    return None if hit is None else (hit[0].to_json(), hit[1])
+
+
+def test_find_countermodel_matches_naive_enumeration():
+    for frame_class, texts in DIFF_CLASSES:
+        fs = [parse_modal(t) for t in texts]
+        expected = [naive_first_refutation(frame_class, (), f, 3) for f in fs]
+        assert any(e is not None for e in expected), frame_class
+        assert [as_json(find_countermodel(f, frame_class, 3)) for f in fs] == expected, frame_class
+
+
+def test_find_entailment_countermodel_matches_naive_enumeration():
+    for frame_class, texts in DIFF_CLASSES:
+        fs = [parse_modal(t) for t in texts]
+        cases = [((fs[i], fs[i + 1]), fs[(i + 2) % len(fs)]) for i in range(len(fs) - 1)]
+        cases.append(((parse_modal("p"),), parse_modal("q \\/ ~q")))
+        expected = [naive_first_refutation(frame_class, g, a, 3) for g, a in cases]
+        assert any(e is not None for e in expected), frame_class
+        got = [as_json(find_entailment_countermodel(g, a, frame_class, 3)) for g, a in cases]
+        assert got == expected, frame_class
 
 
 def test_find_countermodel_int_flavors():
@@ -207,6 +257,56 @@ def test_sweep_matches_single_search():
             assert swept[f] is not None
             assert swept[f][0].to_json() == single[0].to_json()
             assert swept[f][1] == single[1]
+
+
+@pytest.mark.parametrize("frame_class,refuted_text", [
+    (K4_FRAME, "[](r -> p \\/ q) -> [](r -> p) \\/ [](r -> q)"),
+    (int_frame("IPC"), "(r -> p \\/ q) -> (r -> p) \\/ (r -> q)"),
+], ids=["K4", "IPC"])
+def test_chunk_boundaries_do_not_change_results(frame_class, refuted_text, monkeypatch):
+    # 3 atoms, first refuted at 3 nodes: the digit periods (base, base**2,
+    # base**3) are not multiples of 7, so chunks start inside digit runs
+    refuted = parse_modal(refuted_text)
+    valid = parse_modal("p /\\ q /\\ r -> (r \\/ ~p)")
+    gamma = (parse_modal("p \\/ r"), parse_modal("~q"))
+
+    def results():
+        # (hit, models charged, whether the scan ran to the end)
+        out = []
+        for f in (refuted, valid):
+            b = Budget()
+            hit = as_json(find_countermodel(f, frame_class, 3, b))
+            out.append((hit, b.models_used, hit is None))
+            b = Budget()
+            hit = as_json(find_entailment_countermodel(gamma, f, frame_class, 3, b))
+            out.append((hit, b.models_used, hit is None))
+        b = Budget()
+        swept = sweep_refutations([refuted, valid], frame_class, 3, b)
+        out.append(([as_json(swept[refuted]), as_json(swept[valid])], b.models_used, True))
+        return out
+
+    default = results()
+    monkeypatch.setattr(frames, "_CHUNK", 7)
+    chunked = results()
+    assert default[0][0] is not None and default[2][0] is None
+    for (hit, used, complete), (hit7, used7, _) in zip(default, chunked):
+        assert hit7 == hit
+        # every chunk is charged whole, so only a scan that stops early may charge less
+        assert used7 == used if complete else used7 <= used
+
+
+def test_fast_path_disagreement_raises(monkeypatch):
+    # an evaluator that reports every formula false at every node must be
+    # caught by the naive re-check, not returned as a countermodel
+    monkeypatch.setattr(frames.CompiledFormulas, "run",
+                        lambda self, blocks, frame, length: [0] * len(self.roots))
+    valid = parse_modal("p -> p")
+    with pytest.raises(AssertionError, match="re-verification"):
+        find_countermodel(valid, K4_FRAME, 2)
+    with pytest.raises(AssertionError, match="re-verification"):
+        sweep_refutations([valid], K4_FRAME, 2)
+    with pytest.raises(AssertionError, match="re-verification"):
+        find_entailment_countermodel((), valid, int_frame("IPC"), 2)
 
 
 def test_budget_exhaustion():
