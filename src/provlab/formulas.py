@@ -3,12 +3,19 @@
 Surface syntax: atoms match [a-z][a-z0-9_]*, constants `bot` and `top`,
 connectives `~` `[]` `/\\` `\\/` `->`.  Precedence is ~ = [] > /\\ > \\/ > ->
 with -> right-associative and /\\, \\/ left-associative.
+
+Formula nodes are frozen, slotted dataclasses that compute their hash once,
+when they are built, from the children's cached hashes.  The provers, the
+derivation checker and the evaluators key dicts, sets and Counters by
+formulas, and a recomputed hash walks the whole subtree on every lookup;
+the cached one is O(1).  It is built from str hashes, so it varies with
+PYTHONHASHSEED, and pickling rebuilds a node through its constructor.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 
@@ -24,47 +31,141 @@ class ReservedAtomError(ValueError):
     """Raised when propositional input uses a generated-atom name (q0, q1, ..., qw)."""
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Node:
+    """Base of the formula node classes: a cached hash and an iterative ``==``.
+
+    ``_h`` is set once, in ``__init__``, from a per-class string tag and
+    the children's ``_h``; equal formulas get equal tags and equal children,
+    so they hash alike.  ``__eq__`` rejects on a different class or hash at
+    once and compares children with an explicit stack, so neither ``hash``
+    nor ``==`` recurses, whatever the depth.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self._h
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _Node):
+            return NotImplemented
+        stack = [self, other]
+        pop, push = stack.pop, stack.append
+        while stack:
+            b = pop()
+            a = pop()
+            if a is b:
+                continue
+            cls = a.__class__
+            if cls is not b.__class__ or a._h != b._h:
+                return False
+            if cls is Atom:
+                if a.name != b.name:
+                    return False
+            elif cls is Neg or cls is Box:
+                push(a.sub)
+                push(b.sub)
+            elif cls is not Bot and cls is not Top:
+                push(a.left)
+                push(b.left)
+                push(a.right)
+                push(b.right)
+        return True
+
+    def __reduce__(self):
+        # rebuild through the constructor, so the hash is that of the loading process
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+
+_set = object.__setattr__
+# The node classes write their own __init__ (init=False): it fills the fields
+# and the hash in one call, about half the overhead of a generated __init__
+# followed by __post_init__, and every formula the parser, the corpus and the
+# translations build pays it.
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Atom(_Node):
     name: str
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_h", hash(("Atom", name)))
 
 
-@dataclass(frozen=True)
-class Bot:
-    pass
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Bot(_Node):
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self) -> None:
+        _set(self, "_h", hash("Bot"))
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Top(_Node):
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self) -> None:
+        _set(self, "_h", hash("Top"))
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Neg(_Node):
     sub: "Formula"
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, sub: "Formula") -> None:
+        _set(self, "sub", sub)
+        _set(self, "_h", hash(("Neg", sub._h)))
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, left: "Formula", right: "Formula") -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_h", hash(("And", left._h, right._h)))
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, left: "Formula", right: "Formula") -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_h", hash(("Or", left._h, right._h)))
 
 
-@dataclass(frozen=True)
-class Imp:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Imp(_Node):
     left: "Formula"
     right: "Formula"
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, left: "Formula", right: "Formula") -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_h", hash(("Imp", left._h, right._h)))
 
 
-@dataclass(frozen=True)
-class Box:
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Box(_Node):
     sub: "Formula"
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, sub: "Formula") -> None:
+        _set(self, "sub", sub)
+        _set(self, "_h", hash(("Box", sub._h)))
 
 
 Formula = Union[Atom, Bot, Top, Neg, And, Or, Imp, Box]

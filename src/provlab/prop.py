@@ -106,7 +106,8 @@ def _cpc_verdict(gamma: tuple[Formula, ...], a: Formula) -> PropVerdict:
                 frozenset({("k0", "k0")}),
                 {n: frozenset({"k0"}) for n in names if assignment[n]},
             )
-            assert check_int(model, "k0", a, "CPC") is False
+            if check_int(model, "k0", a, "CPC"):
+                raise AssertionError("CPC countermodel failed re-verification")
             return PropVerdict(PropLogic.CPC, gamma, a, False, "truth-table",
                                countermodel=(model, "k0"))
     return PropVerdict(PropLogic.CPC, gamma, a, True, "truth-table")

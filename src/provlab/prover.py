@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from .budget import Budget, BudgetExhausted
 from .calculus import Derivation, Logic
 from .formulas import (
+    BOT,
     And,
-    Bot,
     Box,
     Formula,
     Imp,
@@ -81,21 +81,23 @@ FRAME_OF_LOGIC: dict[Logic, FrameClass] = {
 }
 
 
+_NOT_BOT = Neg(BOT)
+
+
 def normalize_top(f: Formula) -> Formula:
-    """top := ~bot inside the prover; the calculi of the rule tables have no top rule."""
+    """top := ~bot inside the prover; the calculi of the rule tables have no top rule.
+
+    Returns f itself when it has no top below it.
+    """
     match f:
         case Top():
-            return Neg(Bot())
-        case Neg(sub):
-            return Neg(normalize_top(sub))
-        case Box(sub):
-            return Box(normalize_top(sub))
-        case And(l, r):
-            return And(normalize_top(l), normalize_top(r))
-        case Or(l, r):
-            return Or(normalize_top(l), normalize_top(r))
-        case Imp(l, r):
-            return Imp(normalize_top(l), normalize_top(r))
+            return _NOT_BOT
+        case Neg(sub) | Box(sub):
+            s = normalize_top(sub)
+            return f if s is sub else f.__class__(s)
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            nl, nr = normalize_top(l), normalize_top(r)
+            return f if nl is l and nr is r else f.__class__(nl, nr)
         case _:
             return f
 
@@ -124,13 +126,6 @@ def _skey(st: _SearchState, f: Formula) -> str:
         s = print_formula(f)
         st.skeys[f] = s
     return s
-
-
-def _canon(st: _SearchState, ante: Counter, succ: Counter):
-    return (
-        tuple(sorted((_skey(st, f), n) for f, n in ante.items())),
-        tuple(sorted((_skey(st, f), n) for f, n in succ.items())),
-    )
 
 
 def _cap_add(c: Counter, f: Formula) -> Counter:
@@ -184,7 +179,7 @@ def _decide(
     The blocked flag reports whether the failure involved a history cut; only
     unblocked failures are history-independent and safe to cache.
     """
-    key = _canon(st, ante, succ)
+    key = frozenset(ante.items()), frozenset(succ.items())
     hit = st.memo_true.get(key)
     if hit is not None:
         return hit, False
@@ -197,8 +192,8 @@ def _decide(
         return m, False
 
     # closure
-    if Bot() in ante:
-        return done(_Macro("close-bot", ante, succ, Bot()))
+    if BOT in ante:
+        return done(_Macro("close-bot", ante, succ, BOT))
     shared = _pick(st, (f for f in ante if f in succ))
     if shared is not None:
         return done(_Macro("close-id", ante, succ, shared))
@@ -384,7 +379,7 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
         return _weaken_up(st, _expand(st, m.subs[i]), want_a, want_s)
 
     if m.kind == "close-bot":
-        leaf = Derivation(Sequent((Bot(),), ()), "Axiom-Bot")
+        leaf = Derivation(Sequent((BOT,), ()), "Axiom-Bot")
         return _weaken_up(st, leaf, ante, succ)
     if m.kind == "close-id":
         leaf = Derivation(Sequent((f,), (f,)), "Axiom-Id")
@@ -472,19 +467,25 @@ def _sequent_goal(s: Sequent) -> Formula:
     return s.formula()
 
 
+def _normalized(s: Sequent) -> Sequent:
+    return Sequent(tuple(normalize_top(f) for f in s.ante), tuple(normalize_top(f) for f in s.succ))
+
+
+def _capped(fs: tuple[Formula, ...]) -> Counter:
+    c = Counter()
+    for f in fs:
+        c = _cap_add(c, f)
+    return c
+
+
 def search_provable(logic: Logic, s: Sequent, budget: Budget | None = None) -> bool:
     """Verdict-only search, without countermodel extraction (raises BudgetExhausted)."""
     if logic == Logic.GLS:
         return search_provable(Logic.GL, Sequent((), (gls_reduce(_sequent_goal(s)),)), budget)
     budget = budget if budget is not None else Budget()
-    st = _SearchState(logic, budget)
-    ante = Counter()
-    for f in s.ante:
-        ante = _cap_add(ante, normalize_top(f))
-    succ = Counter()
-    for f in s.succ:
-        succ = _cap_add(succ, normalize_top(f))
-    proof, _ = _decide(st, ante, succ, frozenset(), frozenset())
+    norm = _normalized(s)
+    proof, _ = _decide(_SearchState(logic, budget), _capped(norm.ante), _capped(norm.succ),
+                       frozenset(), frozenset())
     return proof is not None
 
 
@@ -508,24 +509,15 @@ def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult
                 return Exhausted(Logic.GLS, s, reason)
 
     st = _SearchState(logic, budget)
-    ante = Counter()
-    for f in s.ante:
-        ante = _cap_add(ante, normalize_top(f))
-    succ = Counter()
-    for f in s.succ:
-        succ = _cap_add(succ, normalize_top(f))
+    norm = _normalized(s)
     try:
-        proof, _ = _decide(st, ante, succ, frozenset(), frozenset())
+        proof, _ = _decide(st, _capped(norm.ante), _capped(norm.succ), frozenset(), frozenset())
     except BudgetExhausted as e:
         return Exhausted(logic, s, e.reason)
     if proof is not None:
         d = _expand(st, proof)
-        full_a = Counter(normalize_top(f) for f in s.ante)
-        full_s = Counter(normalize_top(f) for f in s.succ)
-        d = _weaken_up(st, d, full_a, full_s)
-        d = Derivation(Sequent(tuple(normalize_top(f) for f in s.ante),
-                               tuple(normalize_top(f) for f in s.succ)), d.rule, d.premises)
-        return Provable(logic, s, d)
+        d = _weaken_up(st, d, Counter(norm.ante), Counter(norm.succ))
+        return Provable(logic, s, Derivation(norm, d.rule, d.premises))
 
     goal = s.formula()
     frame_class = FRAME_OF_LOGIC[logic]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -50,6 +51,23 @@ def test_oracle_reports_are_reproducible():
     a = run_crosscheck("oracle-s4", corpus=SMALL).to_json()
     b = run_crosscheck("oracle-s4", corpus=SMALL).to_json()
     assert a == b
+
+
+# sha256 of the report bytes on SMALL.  The reports carry derivation evidence
+# hashes, so a change to any derivation shows here, across processes and hash
+# seeds.  SMALL is sampled with random.Random, so the digests assume Python 3.11.
+ORACLE_REPORT_DIGESTS = {
+    "oracle-k4": "ccc682ba786cdd311e2f1d7ee2a65d010f9383da4c06a2e2e975b63171eeacf8",
+    "oracle-kd4": "05747c4cf7e74b0499917e16e72c863c547246839b52022759391db048ceddad",
+    "oracle-s4": "022df2de54293d143bf4eda5342a9c5fe59487c01a0ddb707db625f444b920e8",
+    "oracle-gl": "d6876f3d3f06405ecda26849fa500b64a968cf7b59372ec8ced40f44c405cbe5",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(ORACLE_REPORT_DIGESTS))
+def test_oracle_report_bytes_are_pinned(suite):
+    report = run_crosscheck(suite, corpus=SMALL).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == ORACLE_REPORT_DIGESTS[suite]
 
 
 def test_t99_suite_small():

@@ -1,3 +1,8 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +19,7 @@ from provlab.formulas import (
     Or,
     ReservedAtomError,
     Sequent,
+    Top,
     atoms,
     box_occurrences,
     conj,
@@ -188,3 +194,57 @@ def test_sequent_formula_and_print():
 def test_neg_as_imp_is_box_and_neg_free_of_neg(f):
     g = neg_as_imp(f)
     assert "~" not in print_formula(g)
+
+
+def _neg_chain(depth):
+    f = Atom("p")
+    for _ in range(depth):
+        f = Neg(f)
+    return f
+
+
+def test_hash_and_eq_do_not_recurse():
+    f, g = _neg_chain(5000), _neg_chain(5000)
+    assert f is not g
+    assert hash(f) == hash(g)
+    assert f == g
+    assert f != _neg_chain(4999) and f != Box(g.sub)
+    assert {f: 1}[g] == 1
+    assert g in {f}
+
+
+def test_separately_built_formulas_are_equal():
+    a = parse_modal("[](p -> q) /\\ ~p \\/ top")
+    b = Or(And(Box(Imp(Atom("p"), Atom("q"))), Neg(Atom("p"))), TOP)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert Bot() == BOT and hash(Bot()) == hash(BOT)
+    assert Bot() != Top() and Neg(p) != Box(p) and Atom("p") != "p"
+
+
+def test_nodes_are_slotted_and_frozen():
+    f = Imp(p, BOT)
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.left = q
+    assert repr(Atom("p")) == "Atom(name='p')"
+    assert repr(f) == "Imp(left=Atom(name='p'), right=Bot())"
+
+
+def test_pickled_node_hashes_as_in_the_loading_process():
+    # the cached hash depends on PYTHONHASHSEED, so a pickle made under one
+    # seed must not carry it into a process running under another
+    code = (
+        "import pickle, sys\n"
+        "from provlab.formulas import parse_modal\n"
+        "f = parse_modal('[](p -> q) /\\\\ ~r')\n"
+        "if sys.argv[1] == 'dump':\n"
+        "    sys.stdout.buffer.write(pickle.dumps(f))\n"
+        "else:\n"
+        "    g = pickle.loads(sys.stdin.buffer.read())\n"
+        "    assert hash(g) == hash(f) and {f: 1}[g] == 1\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    dumped = subprocess.run([sys.executable, "-c", code, "dump"], capture_output=True, check=True,
+                            env={**env, "PYTHONHASHSEED": "1"}).stdout
+    subprocess.run([sys.executable, "-c", code, "load"], input=dumped, check=True,
+                   env={**env, "PYTHONHASHSEED": "2"})

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import provlab.prop
 from provlab.calculus import Logic
 from provlab.formulas import Atom, BOT, TOP, And, Box, Imp, Or, parse_prop
 from provlab.kripke import BOT_KEY, check_int
@@ -69,6 +70,14 @@ def test_cpc_entailment_with_gamma():
     assert prove_prop(PropLogic.CPC, [p, Imp(p, q)], q).provable is True
     v = prove_prop(PropLogic.CPC, [p], q)
     assert v.provable is False and v.countermodel is not None
+
+
+def test_cpc_countermodel_disagreement_raises(monkeypatch):
+    # a truth-table countermodel the naive checker does not refute must be
+    # caught by an explicit raise, which python -O keeps
+    monkeypatch.setattr(provlab.prop, "check_int", lambda *args: True)
+    with pytest.raises(AssertionError, match="re-verification"):
+        prove_prop(PropLogic.CPC, [p], q)
 
 
 def test_prop_rejects_boxes():

@@ -25,6 +25,7 @@ from provlab.prover import (
     Provable,
     derives,
     gls_reduce,
+    normalize_top,
     prove,
     search_provable,
 )
@@ -209,3 +210,11 @@ def test_search_provable_matches_prove(f, logic):
     res = prove(logic, s)
     if not isinstance(res, Exhausted):
         assert search_provable(logic, s) == isinstance(res, Provable)
+
+
+def test_normalize_top_keeps_top_free_nodes():
+    f = parse_modal("[](p -> q) /\\ ~p")
+    assert normalize_top(f) is f
+    g = parse_modal("[](p -> top) /\\ ~p")
+    assert normalize_top(g) == parse_modal("[](p -> ~bot) /\\ ~p")
+    assert normalize_top(g).right is g.right
