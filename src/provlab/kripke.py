@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .formulas import And, Atom, Bot, Box, Formula, Imp, Neg, Or, Top
+from .formulas import BOT, And, Atom, Bot, Box, Formula, Imp, Neg, Or, Top
 
 # Valuation key for the falsum extension in MPC models, where bot behaves
 # like an ordinary persistent atom.
@@ -138,37 +138,7 @@ class KripkeModel:
 
 def check(model: KripkeModel, node: str, f: Formula) -> bool:
     """Classical forcing: boolean clauses at the node, Box quantifies over successors."""
-    if node not in model._succ:
-        raise UnknownNodeError(node)
-    memo: dict[tuple[str, Formula], bool] = {}
-
-    def go(k: str, g: Formula) -> bool:
-        key = (k, g)
-        if key in memo:
-            return memo[key]
-        match g:
-            case Atom(name):
-                v = model.holds(name, k)
-            case Bot():
-                v = False
-            case Top():
-                v = True
-            case Neg(sub):
-                v = not go(k, sub)
-            case And(l, r):
-                v = go(k, l) and go(k, r)
-            case Or(l, r):
-                v = go(k, l) or go(k, r)
-            case Imp(l, r):
-                v = (not go(k, l)) or go(k, r)
-            case Box(sub):
-                v = all(go(m, sub) for m in model.successors(k))
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-        memo[key] = v
-        return v
-
-    return go(node, f)
+    return _force(model, node, f, None)
 
 
 def check_int(model: KripkeModel, node: str, f: Formula, flavor: str) -> bool:
@@ -182,9 +152,16 @@ def check_int(model: KripkeModel, node: str, f: Formula, flavor: str) -> bool:
     violations = validate_frame(model, int_frame(flavor))
     if violations:
         raise FrameViolationError(violations)
+    return _force(model, node, f, flavor)
+
+
+def _force(model: KripkeModel, node: str, f: Formula, flavor: str | None) -> bool:
+    """The naive reference checker: classical forcing when flavor is None, else
+    persistent forcing for that propositional flavor (see check and check_int)."""
     if node not in model._succ:
         raise UnknownNodeError(node)
     memo: dict[tuple[str, Formula], bool] = {}
+    classical = flavor is None
 
     def go(k: str, g: Formula) -> bool:
         key = (k, g)
@@ -194,19 +171,24 @@ def check_int(model: KripkeModel, node: str, f: Formula, flavor: str) -> bool:
             case Atom(name):
                 v = model.holds(name, k)
             case Bot():
-                v = model.holds(BOT_KEY, k) if flavor == "MPC" else False
+                v = flavor == "MPC" and model.holds(BOT_KEY, k)
             case Top():
                 v = True
+            case Neg(sub):
+                v = (not go(k, sub)) if classical else go(k, Imp(sub, BOT))
             case And(l, r):
                 v = go(k, l) and go(k, r)
             case Or(l, r):
                 v = go(k, l) or go(k, r)
             case Imp(l, r):
-                v = all(go(m, r) for m in model.successors(k) if go(m, l))
-            case Neg(sub):
-                v = go(k, Imp(sub, Bot()))
-            case Box():
-                raise TypeError("box is not part of the propositional language")
+                if classical:
+                    v = (not go(k, l)) or go(k, r)
+                else:  # persistent: every successor forcing l forces r
+                    v = all(go(m, r) for m in model.successors(k) if go(m, l))
+            case Box(sub):
+                if not classical:
+                    raise TypeError("box is not part of the propositional language")
+                v = all(go(m, sub) for m in model.successors(k))
             case _:
                 raise TypeError(f"not a formula: {g!r}")
         memo[key] = v
@@ -261,7 +243,6 @@ def _cluster_violations(model: KripkeModel) -> list[Violation]:
     for c in model.clusters:
         members = sorted(c)
         if len(members) == 1:
-            k = members[0]
             # singleton: either irreflexive, or reflexive (a one-node cluster)
             continue
         for x in members:
@@ -271,11 +252,6 @@ def _cluster_violations(model: KripkeModel) -> list[Violation]:
     # reflexivity inside multi-node clusters is implied by mutual relation;
     # a singleton {k} with (k,k) in R counts as a reflexive cluster.
     return out
-
-
-def _is_reflexive_cluster(model: KripkeModel, c: frozenset[str]) -> bool:
-    k = next(iter(c))
-    return (k, k) in model.relation
 
 
 def _quotient_tree_violations(model: KripkeModel) -> list[Violation]:

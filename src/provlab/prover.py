@@ -8,11 +8,17 @@ any sequent repeated along a branch.  A successful search is replayed into a
 cut-free derivation made of the primitive rules only, so every Provable
 verdict is independently checkable; NotProvable verdicts carry a bounded-
 enumeration countermodel that is re-verified before being returned.
+
+One table of invertible rules, and one right box rule per logic, drive both
+the search and the replay: each row builds its premises for the search
+(with duplicates capped) and again for the replay (exact), so the two cannot
+drift apart.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .budget import Budget, BudgetExhausted
@@ -128,15 +134,23 @@ def _skey(st: _SearchState, f: Formula) -> str:
     return s
 
 
+def _copy(c: Counter, _new=Counter.__new__) -> Counter:
+    # Counter(c) goes through Counter.update and an ABC Mapping check; an empty
+    # Counter filled by dict.update is the same Counter at a fraction of the cost
+    out = _new(Counter)
+    dict.update(out, c)
+    return out
+
+
 def _cap_add(c: Counter, f: Formula) -> Counter:
-    out = Counter(c)
+    out = _copy(c)
     if out[f] < _CAP:
         out[f] += 1
     return out
 
 
 def _drop(c: Counter, f: Formula) -> Counter:
-    out = Counter(c)
+    out = _copy(c)
     out[f] -= 1
     if out[f] <= 0:
         del out[f]
@@ -144,9 +158,13 @@ def _drop(c: Counter, f: Formula) -> Counter:
 
 
 def _plus(c: Counter, f: Formula, n: int = 1) -> Counter:
-    out = Counter(c)
+    out = _copy(c)
     out[f] += n
     return out
+
+
+def _capped(c: Counter) -> Counter:
+    return Counter({f: min(n, _CAP) for f, n in c.items()})
 
 
 def _pick(st: _SearchState, candidates) -> Formula | None:
@@ -165,6 +183,68 @@ def _boxed_parts(ante: Counter) -> tuple[Counter, Counter]:
             boxes[f] += n
             inner[f.sub] += n
     return boxes, inner
+
+
+# -- the rule tables ----------------------------------------------------------
+#
+# A premise builder takes (add, f, rest, other): add is _cap_add in the search
+# and _plus in the replay, f the principal formula, rest f's side without f,
+# and other the opposite side.  It returns the premise as (ante, succ).
+
+
+@dataclass(frozen=True)
+class _Rule:
+    kind: str  # macro kind
+    left: bool  # principal formula in the antecedent
+    conn: type  # principal connective
+    primitive: str  # rule name in the replayed derivation
+    premises: tuple[Callable, ...]  # one builder per premise
+
+
+# Tried in this order; the first rule with a principal formula is applied.
+# Non-branching rules come first, then S4 unboxing, then the branching rules.
+_INVERTIBLE = (
+    _Rule("negL", True, Neg, "NegL", (lambda add, f, rest, succ: (rest, add(succ, f.sub)),)),
+    _Rule("negR", False, Neg, "NegR", (lambda add, f, rest, ante: (add(ante, f.sub), rest),)),
+    _Rule("andL", True, And, "AndL", (lambda add, f, rest, succ: (add(add(rest, f.left), f.right), succ),)),
+    _Rule("orR", False, Or, "OrR", (lambda add, f, rest, ante: (ante, add(add(rest, f.left), f.right)),)),
+    _Rule("impR", False, Imp, "ImpR", (lambda add, f, rest, ante: (add(ante, f.left), add(rest, f.right)),)),
+    # S4 unboxing keeps the box: its rest is the whole antecedent
+    _Rule("unboxS4", True, Box, "BoxL", (lambda add, f, rest, succ: (add(rest, f.sub), succ),)),
+    _Rule("orL", True, Or, "OrL", (lambda add, f, rest, succ: (add(rest, f.left), succ),
+                                   lambda add, f, rest, succ: (add(rest, f.right), succ))),
+    _Rule("andR", False, And, "AndR", (lambda add, f, rest, ante: (ante, add(rest, f.left)),
+                                       lambda add, f, rest, ante: (ante, add(rest, f.right)))),
+    _Rule("impL", True, Imp, "ImpL", (lambda add, f, rest, succ: (rest, add(succ, f.left)),
+                                      lambda add, f, rest, succ: (add(rest, f.right), succ))),
+)
+_RULE_OF_KIND = {r.kind: r for r in _INVERTIBLE}
+
+
+@dataclass(frozen=True)
+class _BoxRule:
+    kind: str  # macro kind
+    primitive: str  # rule name in the replayed derivation
+    ante: Callable  # (add, boxes, inner, principal) -> premise antecedent
+
+
+# The right box rule of each logic, for a leaf of atoms, bot and boxes.  Its
+# premise is (ante => principal.sub); KD4 may also close by BoxDR, whose
+# premise antecedent is KD4's own (it does not read the principal).
+_BOX4R = _BoxRule("box4R", "Box4R", lambda add, boxes, inner, bf: boxes + inner)
+_BOX_RULE = {
+    Logic.K4: _BOX4R,
+    Logic.KD4: _BOX4R,
+    Logic.S4: _BoxRule("boxSR", "BoxSR", lambda add, boxes, inner, bf: boxes),
+    Logic.GL: _BoxRule("GLR", "GLR", lambda add, boxes, inner, bf: add(boxes + inner, bf)),  # the diagonal formula
+}
+_RULES_OF_LOGIC = {lg: tuple(r for r in _INVERTIBLE if r.conn is not Box or lg == Logic.S4) for lg in _BOX_RULE}
+
+
+def _sides(rule: _Rule, ante: Counter, succ: Counter) -> tuple[Counter, Counter]:
+    """(f's side, the other side) for rule's principal formula f; applied to
+    (f's side, the other side) it gives back (ante, succ)."""
+    return (ante, succ) if rule.left else (succ, ante)
 
 
 def _decide(
@@ -191,6 +271,11 @@ def _decide(
         st.memo_true[key] = m
         return m, False
 
+    def fail(blocked: bool) -> tuple[None, bool]:
+        if not blocked:
+            st.memo_false.add((key, unboxed))
+        return None, blocked
+
     # closure
     if BOT in ante:
         return done(_Macro("close-bot", ante, succ, BOT))
@@ -198,134 +283,48 @@ def _decide(
     if shared is not None:
         return done(_Macro("close-id", ante, succ, shared))
 
-    # invertible decomposition, non-branching first
-    f = _pick(st, (g for g in ante if isinstance(g, Neg)))
-    if f is not None:
-        sub, blocked = _decide(st, _drop(ante, f), _cap_add(succ, f.sub), history, unboxed)
-        if sub:
-            return done(_Macro("negL", ante, succ, f, (sub,)))
-        if not blocked:
-            st.memo_false.add((key, unboxed))
-        return None, blocked
-    f = _pick(st, (g for g in succ if isinstance(g, Neg)))
-    if f is not None:
-        sub, blocked = _decide(st, _cap_add(ante, f.sub), _drop(succ, f), history, unboxed)
-        if sub:
-            return done(_Macro("negR", ante, succ, f, (sub,)))
-        if not blocked:
-            st.memo_false.add((key, unboxed))
-        return None, blocked
-    f = _pick(st, (g for g in ante if isinstance(g, And)))
-    if f is not None:
-        pa = _cap_add(_cap_add(_drop(ante, f), f.left), f.right)
-        sub, blocked = _decide(st, pa, succ, history, unboxed)
-        if sub:
-            return done(_Macro("andL", ante, succ, f, (sub,)))
-        if not blocked:
-            st.memo_false.add((key, unboxed))
-        return None, blocked
-    f = _pick(st, (g for g in succ if isinstance(g, Or)))
-    if f is not None:
-        ps = _cap_add(_cap_add(_drop(succ, f), f.left), f.right)
-        sub, blocked = _decide(st, ante, ps, history, unboxed)
-        if sub:
-            return done(_Macro("orR", ante, succ, f, (sub,)))
-        if not blocked:
-            st.memo_false.add((key, unboxed))
-        return None, blocked
-    f = _pick(st, (g for g in succ if isinstance(g, Imp)))
-    if f is not None:
-        sub, blocked = _decide(st, _cap_add(ante, f.left), _cap_add(_drop(succ, f), f.right), history, unboxed)
-        if sub:
-            return done(_Macro("impR", ante, succ, f, (sub,)))
-        if not blocked:
-            st.memo_false.add((key, unboxed))
-        return None, blocked
-    if st.logic == Logic.S4:
-        f = _pick(
-            st,
-            (g for g in ante if isinstance(g, Box) and g.sub not in ante and g not in unboxed),
-        )
-        if f is not None:
-            sub, blocked = _decide(st, _cap_add(ante, f.sub), succ, history, unboxed | {f})
-            if sub:
-                return done(_Macro("unboxS4", ante, succ, f, (sub,)))
-            if not blocked:
-                st.memo_false.add((key, unboxed))
-            return None, blocked
-
-    # branching invertible rules
-    f = _pick(st, (g for g in ante if isinstance(g, Or)))
-    if f is not None:
-        rest = _drop(ante, f)
-        s1, b1 = _decide(st, _cap_add(rest, f.left), succ, history, unboxed)
-        if s1 is None:
-            if not b1:
-                st.memo_false.add((key, unboxed))
-            return None, b1
-        s2, b2 = _decide(st, _cap_add(rest, f.right), succ, history, unboxed)
-        if s2 is None:
-            if not b2:
-                st.memo_false.add((key, unboxed))
-            return None, b2
-        return done(_Macro("orL", ante, succ, f, (s1, s2)))
-    f = _pick(st, (g for g in succ if isinstance(g, And)))
-    if f is not None:
-        rest = _drop(succ, f)
-        s1, b1 = _decide(st, ante, _cap_add(rest, f.left), history, unboxed)
-        if s1 is None:
-            if not b1:
-                st.memo_false.add((key, unboxed))
-            return None, b1
-        s2, b2 = _decide(st, ante, _cap_add(rest, f.right), history, unboxed)
-        if s2 is None:
-            if not b2:
-                st.memo_false.add((key, unboxed))
-            return None, b2
-        return done(_Macro("andR", ante, succ, f, (s1, s2)))
-    f = _pick(st, (g for g in ante if isinstance(g, Imp)))
-    if f is not None:
-        rest = _drop(ante, f)
-        s1, b1 = _decide(st, rest, _cap_add(succ, f.left), history, unboxed)
-        if s1 is None:
-            if not b1:
-                st.memo_false.add((key, unboxed))
-            return None, b1
-        s2, b2 = _decide(st, _cap_add(rest, f.right), succ, history, unboxed)
-        if s2 is None:
-            if not b2:
-                st.memo_false.add((key, unboxed))
-            return None, b2
-        return done(_Macro("impL", ante, succ, f, (s1, s2)))
+    # invertible decomposition: the first rule with a principal formula
+    for rule in _RULES_OF_LOGIC[st.logic]:
+        conn = rule.conn
+        if conn is Box:  # once per box and modal layer, and only while its unboxing is new
+            f = _pick(st, (g for g in ante if isinstance(g, Box) and g.sub not in ante and g not in unboxed))
+        else:
+            f = _pick(st, (g for g in (ante if rule.left else succ) if isinstance(g, conn)))
+        if f is None:
+            continue
+        side, other = _sides(rule, ante, succ)
+        rest, sub_unboxed = (side, unboxed | {f}) if conn is Box else (_drop(side, f), unboxed)
+        subs = []
+        for premise in rule.premises:  # a later premise is built only once the earlier ones hold
+            # unpacked first: a starred call leaves the interpreter's fast path for
+            # Python-to-Python calls, which cost about 20 % on deep KD4 searches
+            pa, ps = premise(_cap_add, f, rest, other)
+            sub, blocked = _decide(st, pa, ps, history, sub_unboxed)
+            if sub is None:
+                return fail(blocked)
+            subs.append(sub)
+        return done(_Macro(rule.kind, ante, succ, f, tuple(subs)))
 
     # modal leaf: only atoms, bot and boxes remain
     if key in history:
         return None, True
     history = history | {key}
+    box_rule = _BOX_RULE[st.logic]
     boxes, inner = _boxed_parts(ante)
+    branches = [
+        (box_rule.kind, bf, Counter({bf.sub: 1}))
+        for bf in sorted({g for g in succ if isinstance(g, Box)}, key=lambda g: _skey(st, g))
+    ]
+    if st.logic == Logic.KD4 and boxes:
+        branches.append(("boxDR", None, Counter()))
     blocked_any = False
-    for bf in sorted({g for g in succ if isinstance(g, Box)}, key=lambda g: _skey(st, g)):
-        if st.logic in (Logic.K4, Logic.KD4):
-            pante = boxes + inner
-        elif st.logic == Logic.S4:
-            pante = Counter(boxes)
-        else:  # GL: carry the diagonal formula
-            pante = _cap_add(boxes + inner, bf)
-        pante = Counter({g: min(n, _CAP) for g, n in pante.items()})
-        sub, blocked = _decide(st, pante, Counter({bf.sub: 1}), history, frozenset())
+    for kind, bf, psucc in branches:
+        pante = _capped(box_rule.ante(_cap_add, boxes, inner, bf))
+        sub, blocked = _decide(st, pante, psucc, history, frozenset())
         if sub is not None:
-            kind = {"K4": "box4R", "KD4": "box4R", "S4": "boxSR", "GL": "GLR"}[st.logic.value]
             return done(_Macro(kind, ante, succ, bf, (sub,)))
         blocked_any |= blocked
-    if st.logic == Logic.KD4 and boxes:
-        pante = Counter({g: min(n, _CAP) for g, n in (boxes + inner).items()})
-        sub, blocked = _decide(st, pante, Counter(), history, frozenset())
-        if sub is not None:
-            return done(_Macro("boxDR", ante, succ, None, (sub,)))
-        blocked_any |= blocked
-    if not blocked_any:
-        st.memo_false.add((key, unboxed))
-    return None, blocked_any
+    return fail(blocked_any)
 
 
 # -- replaying a successful search into a primitive-rule derivation ----------
@@ -372,10 +371,10 @@ def _contract_down(st: _SearchState, d: Derivation, ante: Counter, succ: Counter
 def _expand(st: _SearchState, m: _Macro) -> Derivation:
     """Turn one macro step into primitive rules, recursing on sub-proofs."""
     ante, succ, f = m.ante, m.succ, m.principal
-    goal = _seq_of(st, ante, succ)
 
-    def sub_at(i: int, want_a: Counter, want_s: Counter) -> Derivation:
+    def sub_at(i: int, want: tuple[Counter, Counter]) -> Derivation:
         # search premises are duplicate-capped; pad back up to the exact rule premise
+        want_a, want_s = want
         return _weaken_up(st, _expand(st, m.subs[i]), want_a, want_s)
 
     if m.kind == "close-bot":
@@ -384,66 +383,33 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
     if m.kind == "close-id":
         leaf = Derivation(Sequent((f,), (f,)), "Axiom-Id")
         return _weaken_up(st, leaf, ante, succ)
-    if m.kind == "negL":
-        d = sub_at(0, _drop(ante, f), _plus(succ, f.sub))
-        return Derivation(goal, "NegL", (d,))
-    if m.kind == "negR":
-        d = sub_at(0, _plus(ante, f.sub), _drop(succ, f))
-        return Derivation(goal, "NegR", (d,))
-    if m.kind == "impR":
-        d = sub_at(0, _plus(ante, f.left), _plus(_drop(succ, f), f.right))
-        return Derivation(goal, "ImpR", (d,))
-    if m.kind == "andL":
-        rest = _drop(ante, f)
-        d = sub_at(0, _plus(_plus(rest, f.left), f.right), succ)
-        d = Derivation(_seq_of(st, _plus(_plus(rest, f.right), f), succ), "AndL", (d,))
-        d = Derivation(_seq_of(st, _plus(_plus(rest, f), f), succ), "AndL", (d,))
-        return Derivation(goal, "cL", (d,))
-    if m.kind == "orR":
-        rest = _drop(succ, f)
-        d = sub_at(0, ante, _plus(_plus(rest, f.left), f.right))
-        d = Derivation(_seq_of(st, ante, _plus(_plus(rest, f.right), f)), "OrR", (d,))
-        d = Derivation(_seq_of(st, ante, _plus(_plus(rest, f), f)), "OrR", (d,))
-        return Derivation(goal, "cR", (d,))
-    if m.kind == "orL":
-        rest = _drop(ante, f)
-        d1 = sub_at(0, _plus(rest, f.left), succ)
-        d2 = sub_at(1, _plus(rest, f.right), succ)
-        wide = Derivation(_seq_of(st, _plus(rest + rest, f), succ + succ), "OrL", (d1, d2))
-        return _contract_down(st, wide, ante, succ)
-    if m.kind == "andR":
-        rest = _drop(succ, f)
-        d1 = sub_at(0, ante, _plus(rest, f.left))
-        d2 = sub_at(1, ante, _plus(rest, f.right))
-        wide = Derivation(_seq_of(st, ante + ante, _plus(rest + rest, f)), "AndR", (d1, d2))
-        return _contract_down(st, wide, ante, succ)
-    if m.kind == "impL":
-        rest = _drop(ante, f)
-        d1 = sub_at(0, rest, _plus(succ, f.left))
-        d2 = sub_at(1, _plus(rest, f.right), succ)
-        wide = Derivation(_seq_of(st, _plus(rest + rest, f), succ + succ), "ImpL", (d1, d2))
-        return _contract_down(st, wide, ante, succ)
-    if m.kind == "unboxS4":
-        d = sub_at(0, _plus(ante, f.sub), succ)
-        d = Derivation(_seq_of(st, _plus(ante, f), succ), "BoxL", (d,))
-        return Derivation(goal, "cL", (d,))
-    if m.kind in ("box4R", "boxSR", "GLR", "boxDR"):
-        boxes, inner = _boxed_parts(ante)
-        if m.kind == "boxDR":
-            d = sub_at(0, boxes + inner, Counter())
-            d = Derivation(_seq_of(st, boxes, Counter()), "BoxDR", (d,))
-            return _weaken_up(st, d, ante, succ)
-        if m.kind == "box4R":
-            want = boxes + inner
-        elif m.kind == "boxSR":
-            want = Counter(boxes)
-        else:
-            want = _plus(boxes + inner, f)
-        d = sub_at(0, want, Counter({f.sub: 1}))
-        rule = {"box4R": "Box4R", "boxSR": "BoxSR", "GLR": "GLR"}[m.kind]
-        d = Derivation(_seq_of(st, boxes, Counter({f: 1})), rule, (d,))
-        return _weaken_up(st, d, ante, succ)
-    raise AssertionError(f"unknown macro {m.kind}")
+
+    rule = _RULE_OF_KIND.get(m.kind)
+    if rule is not None:
+        side, other = _sides(rule, ante, succ)
+        rest = side if rule.conn is Box else _drop(side, f)
+        ds = tuple(sub_at(i, premise(_plus, f, rest, other)) for i, premise in enumerate(rule.premises))
+        if len(ds) == 2:  # the two premises split the context: conclude on both copies
+            rest, other = rest + rest, other + other
+        elif rule.conn in (And, Or):  # AndL and OrR take one immediate subformula at a time
+            first = _sides(rule, _plus(_plus(rest, f.right), f), other)
+            ds = (Derivation(_seq_of(st, *first), rule.primitive, ds),)
+            rest = _plus(rest, f)
+        elif rule.conn is not Box:  # NegL, NegR and ImpR conclude on the goal itself
+            return Derivation(_seq_of(st, ante, succ), rule.primitive, ds)
+        # the other rules conclude on more than the goal (BoxL keeps its box): contract
+        d = Derivation(_seq_of(st, *_sides(rule, _plus(rest, f), other)), rule.primitive, ds)
+        return _contract_down(st, d, ante, succ)
+
+    boxes, inner = _boxed_parts(ante)
+    box_rule = _BOX_RULE[st.logic]
+    if m.kind == "boxDR":
+        d = sub_at(0, (box_rule.ante(_plus, boxes, inner, None), Counter()))
+        d = Derivation(_seq_of(st, boxes, Counter()), "BoxDR", (d,))
+    else:
+        d = sub_at(0, (box_rule.ante(_plus, boxes, inner, f), Counter({f.sub: 1})))
+        d = Derivation(_seq_of(st, boxes, Counter({f: 1})), box_rule.primitive, (d,))
+    return _weaken_up(st, d, ante, succ)
 
 
 def gls_reduce(a: Formula) -> Formula:
@@ -471,22 +437,20 @@ def _normalized(s: Sequent) -> Sequent:
     return Sequent(tuple(normalize_top(f) for f in s.ante), tuple(normalize_top(f) for f in s.succ))
 
 
-def _capped(fs: tuple[Formula, ...]) -> Counter:
-    c = Counter()
-    for f in fs:
-        c = _cap_add(c, f)
-    return c
+def _search(logic: Logic, s: Sequent, budget: Budget) -> tuple[_SearchState, Sequent, Sequent, _Macro | None]:
+    """Shared by prove and search_provable: (state, searched sequent, its top-normalized
+    form, macro proof or None).  GLS searches its GL reduction instance."""
+    if logic == Logic.GLS:
+        logic, s = Logic.GL, Sequent((), (gls_reduce(_sequent_goal(s)),))
+    st = _SearchState(logic, budget)
+    norm = _normalized(s)
+    proof, _ = _decide(st, _capped(Counter(norm.ante)), _capped(Counter(norm.succ)), frozenset(), frozenset())
+    return st, s, norm, proof
 
 
 def search_provable(logic: Logic, s: Sequent, budget: Budget | None = None) -> bool:
     """Verdict-only search, without countermodel extraction (raises BudgetExhausted)."""
-    if logic == Logic.GLS:
-        return search_provable(Logic.GL, Sequent((), (gls_reduce(_sequent_goal(s)),)), budget)
-    budget = budget if budget is not None else Budget()
-    norm = _normalized(s)
-    proof, _ = _decide(_SearchState(logic, budget), _capped(norm.ante), _capped(norm.succ),
-                       frozenset(), frozenset())
-    return proof is not None
+    return _search(logic, s, budget if budget is not None else Budget())[3] is not None
 
 
 def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult:
@@ -497,30 +461,18 @@ def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult
     its GL countermodel as evidence (GLS has no frame class here).
     """
     budget = budget if budget is not None else Budget()
-    if logic == Logic.GLS:
-        red = gls_reduce(_sequent_goal(s))
-        res = prove(Logic.GL, Sequent((), (red,)), budget)
-        match res:
-            case Provable(_, _, d):
-                return Provable(Logic.GLS, s, d, reduction=red)
-            case NotProvable(_, _, model, node):
-                return NotProvable(Logic.GLS, s, model, node, reduction=red)
-            case Exhausted(_, _, reason):
-                return Exhausted(Logic.GLS, s, reason)
-
-    st = _SearchState(logic, budget)
-    norm = _normalized(s)
     try:
-        proof, _ = _decide(st, _capped(norm.ante), _capped(norm.succ), frozenset(), frozenset())
+        st, searched, norm, proof = _search(logic, s, budget)
     except BudgetExhausted as e:
         return Exhausted(logic, s, e.reason)
+    reduction = searched.succ[0] if logic == Logic.GLS else None
     if proof is not None:
         d = _expand(st, proof)
         d = _weaken_up(st, d, Counter(norm.ante), Counter(norm.succ))
-        return Provable(logic, s, Derivation(norm, d.rule, d.premises))
+        return Provable(logic, s, Derivation(norm, d.rule, d.premises), reduction)
 
-    goal = s.formula()
-    frame_class = FRAME_OF_LOGIC[logic]
+    goal = searched.formula()
+    frame_class = FRAME_OF_LOGIC[st.logic]
     try:
         hit = find_countermodel(goal, frame_class, budget.max_nodes, budget)
         if hit is None and budget.escalate_nodes > budget.max_nodes:
@@ -528,11 +480,11 @@ def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult
     except BudgetExhausted as e:
         return Exhausted(logic, s, e.reason)
     if hit is None:
-        return Exhausted(logic, s, f"no countermodel within {budget.escalate_nodes} nodes")
+        return Exhausted(logic, s, f"no countermodel within {max(budget.max_nodes, budget.escalate_nodes)} nodes")
     model, node = hit
     if validate_frame(model, frame_class) != [] or check(model, node, goal):
         raise AssertionError("countermodel failed re-verification")
-    return NotProvable(logic, s, model, node)
+    return NotProvable(logic, s, model, node, reduction)
 
 
 def derives(logic: Logic, gamma, a: Formula, budget: Budget | None = None) -> ProveResult:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .formulas import Formula, box_occurrences, subformula_at
+from .formulas import Formula, box_occurrences, children, subformula_at
 from .kripke import FrameViolationError, GL_FRAME, K4_FRAME, KripkeModel, check, validate_frame
 from .provability import (
     InvalidWitnessError,
@@ -43,8 +43,6 @@ def t_complexity(a: Formula, t: Witness) -> dict[tuple[int, ...], int]:
         inside = [t[i] for i, bp in enumerate(occ) if bp[: len(path)] == path]
         out[path] = max(inside) if inside else -1
         g = subformula_at(a, path)
-        from .formulas import children
-
         for i in range(len(children(g))):
             walk(path + (i,))
 

@@ -55,6 +55,20 @@ def test_check_missing_atom_is_false():
     assert check(single_reflexive(), "k", Atom("unheard_of")) is False
 
 
+def test_classical_and_persistent_readings_of_one_model():
+    # k -> l with p only at l: classically ~p and p -> bot hold at k; read
+    # persistently (BPC) they fail, because the successor l forces p
+    m = KripkeModel(("k", "l"), frozenset({("k", "l")}), {"p": frozenset({"l"})})
+    for f in (Neg(p), Imp(p, BOT)):
+        assert check(m, "k", f) is True
+        assert check_int(m, "k", f, "BPC") is False
+
+
+def test_check_int_rejects_box():
+    with pytest.raises(TypeError):
+        check_int(single_reflexive(), "k", Box(p), "IPC")
+
+
 def test_check_int_mpc_bot_forcing_node():
     # the MPC/IPC separation witness: a single reflexive node forcing
     # bot but not p refutes bot -> p under MPC

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,3 +221,62 @@ def test_normalize_top_keeps_top_free_nodes():
     g = parse_modal("[](p -> top) /\\ ~p")
     assert normalize_top(g) == parse_modal("[](p -> ~bot) /\\ ~p")
     assert normalize_top(g).right is g.right
+
+
+# (logic, goal, result type, budget.steps_used, sha256 of the derivation's sorted JSON).
+# Together the provable cases emit every primitive rule the replay produces:
+# the axioms, weakening, contraction, the eight propositional rules, BoxL,
+# Box4R, BoxDR, BoxSR and GLR.  The not-provable cases run through the memo
+# and the loop check.
+REPLAY_PINS = [
+    ("K4", "[]p -> [][]p", "Provable", 3, "9fd976ada94a8775538976fe42eb9c5667d4fbd24d02e702234bfe0e7ea2ace3"),
+    ("K4", "(p -> q) -> ~q -> ~p", "Provable", 7, "0826d4056508aed762fb3a54a4e1c0c25c40dd96d03bcd95277a013074f06c19"),
+    ("K4", "p /\\ q -> q /\\ p", "Provable", 5, "06861660c5f632dad47a24d768b9c7dc59464ba08bd3807a7048cb676c81ef14"),
+    ("K4", "p \\/ q -> q \\/ p", "Provable", 5, "d613cdf682ca439df9c2bfdf8545803ce31ac54a17c018a971f5e79e16051870"),
+    ("KD4", "~[]bot", "Provable", 3, "fd19e5aa87c672f20e4287c4ee989165500d83e825ea3f0727d984a88493c5ab"),
+    ("S4", "[]p -> p", "Provable", 3, "72401e7996e19399e7a760b800680a91a26f8f000e41109fade3ad7a2ee2ef31"),
+    ("S4", "[](p -> q) -> []p -> []q", "Provable", 12, "79babb524d3e6cec591f53d48e392c9bf497810ad1cc8bbd08615cd8fe699724"),
+    ("GL", "[]([]p -> p) -> []p", "Provable", 5, "8e335406708463a34d3a3e83cc29c58d0c4b3b803231915cbde5aee0c89346be"),
+    ("GLS", "[]p -> p", "Provable", 2, "2a9107e2f351b0a8d92bb42011bc8f99452ed200513ddc8ac74c1ce2b31ed9e4"),
+    ("S4", "[]([]p -> p) -> []p", "NotProvable", 10, None),
+    ("K4", "[]p -> p", "NotProvable", 2, None),
+]
+
+
+def _rules_used(d, out):
+    out.add(d.rule)
+    for sub in d.premises:
+        _rules_used(sub, out)
+    return out
+
+
+@pytest.mark.parametrize("logic,text,kind,steps,digest", REPLAY_PINS, ids=[f"{c[0]}:{c[1]}" for c in REPLAY_PINS])
+def test_replay_shapes_are_pinned(logic, text, kind, steps, digest):
+    budget = Budget()
+    res = prove(Logic[logic], Sequent((), (parse_modal(text),)), budget)
+    assert type(res).__name__ == kind
+    assert budget.steps_used == steps
+    if digest is not None:
+        body = json.dumps(res.derivation.to_json(), sort_keys=True)
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def test_replay_pins_cover_every_primitive_rule():
+    used = set()
+    for logic, text, kind, _, _ in REPLAY_PINS:
+        if kind == "Provable":
+            _rules_used(prove(Logic[logic], Sequent((), (parse_modal(text),))).derivation, used)
+    assert used == {
+        "Axiom-Id", "Axiom-Bot", "wL", "wR", "cL", "cR",
+        "AndL", "AndR", "OrL", "OrR", "ImpL", "ImpR", "NegL", "NegR",
+        "BoxL", "Box4R", "BoxDR", "BoxSR", "GLR",
+    }
+
+
+def test_exhausted_reason_names_the_largest_bound_searched():
+    s = Sequent((), (parse_modal("[]p \\/ []~p"),))
+    res = prove(Logic.K4, s, Budget(max_nodes=1, escalate_nodes=0))
+    assert isinstance(res, Exhausted)
+    assert res.reason == "no countermodel within 1 nodes"
+    res = prove(Logic.K4, s, Budget(max_nodes=1, escalate_nodes=1))
+    assert res.reason == "no countermodel within 1 nodes"
