@@ -8,9 +8,9 @@ Suites:
       formula that some model refutes.
   t99-bpc / t99-ebpc / t99-ipc / t99-fpl / t99-mpc
       verdict equality between the propositional prover and the matching
-      modal prover on translated formulas, plus a direct-semantics sweep over
-      the propositional frame classes: a refuted-yet-Provable formula is a
-      hard failure.
+      modal prover's result on the translated formula that it decided through,
+      plus a direct-semantics sweep over the propositional frame classes: a
+      refuted-yet-Provable formula is a hard failure.
   t33   for K4-unprovable corpus formulas of degree <= 2 and every valid
         translation with entries <= 3, certify GL does not prove the
         translation by unwinding the K4 countermodel into a GL countermodel
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from .budget import Budget, BudgetExhausted
 from .calculus import Logic, check_derivation
 from .corpus import BOX_FREE_PARAMS, Corpus, DEFAULT_PARAMS, generate_corpus
-from .formulas import Formula, Neg, Sequent, box_occurrences, count_boxes, modal_degree, print_formula
+from .formulas import Formula, Neg, Sequent, box_occurrences, boxes_within, count_boxes, modal_degree, print_formula
 from .frames import enumerate_models, sweep_refutations
 from .kripke import GL_FRAME, K4_FRAME, check, int_frame, validate_frame
 from .prop import PROP_TO_MODAL, PropLogic, prove_prop
@@ -45,7 +45,6 @@ from .prover import (
     Exhausted,
     NotProvable,
     Provable,
-    derives,
     prove,
     search_provable,
 )
@@ -185,7 +184,7 @@ def _t99_suite(suite: str, corpus: Corpus, budget_steps: int, max_nodes: int) ->
     disagreements = exhausted = 0
     for i, f in enumerate(corpus.formulas):
         v = prove_prop(plogic, (), f, _item_budget(budget_steps, max_nodes), countermodel_nodes=0)
-        modal = derives(mlogic, (), v.translated, _item_budget(budget_steps, max_nodes))
+        modal = v.modal_result
         rec = {"index": i, "formula": print_formula(f), "translated": print_formula(v.translated)}
         modal_verdict = True if isinstance(modal, Provable) else (None if isinstance(modal, Exhausted) else False)
         rec["prop_verdict"] = v.provable
@@ -228,10 +227,7 @@ def _valid_translations(f: Formula, max_entry: int):
         return
     # assign bottom-up: each box must exceed the maxima of the boxes inside it
     order = sorted(range(len(occ)), key=lambda i: -len(occ[i]))
-    inside = {
-        i: [j for j in range(len(occ)) if i != j and occ[j][: len(occ[i])] == occ[i]]
-        for i in range(len(occ))
-    }
+    inside = [boxes_within(occ, path)[1:] for path in occ]
 
     def rec(pos: int, assigned: dict):
         if pos == len(order):
@@ -380,9 +376,7 @@ def _random_valid_translation(f: Formula, rng: random.Random, max_entry: int) ->
     occ = box_occurrences(f)
     assigned: dict[int, int] = {}
     for i in sorted(range(len(occ)), key=lambda i: -len(occ[i])):
-        inside = [assigned[j] for j in range(len(occ))
-                  if i != j and occ[j][: len(occ[i])] == occ[i]]
-        low = max(inside, default=-1) + 1
+        low = max((assigned[j] for j in boxes_within(occ, occ[i])[1:]), default=-1) + 1
         assigned[i] = rng.randint(low, max(low, max_entry))
     t = tuple(assigned[i] for i in range(len(occ)))
     assert translation_valid(t, f)

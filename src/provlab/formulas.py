@@ -15,6 +15,7 @@ PYTHONHASHSEED, and pickling rebuilds a node through its constructor.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -360,13 +361,13 @@ def print_formula(f: Formula) -> str:
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    match f:
-        case Neg(sub) | Box(sub):
-            return (sub,)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return (l, r)
-        case _:
-            return ()
+    # class tests instead of match patterns: every walk below calls this per node
+    cls = f.__class__
+    if cls is Neg or cls is Box:
+        return (f.sub,)
+    if cls is And or cls is Or or cls is Imp:
+        return (f.left, f.right)
+    return ()
 
 
 def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
@@ -378,12 +379,16 @@ def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
 def subformula_occurrences(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
     """Pre-order traversal yielding (path, subformula) pairs."""
     stack = [((), f)]
+    pop, push = stack.pop, stack.append
     while stack:
-        path, g = stack.pop()
+        path, g = pop()
         yield path, g
         kids = children(g)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,), kids[i]))
+        # the right child goes on the stack first, so the left one is visited first
+        if len(kids) == 2:
+            push((path + (1,), kids[1]))
+        if kids:
+            push((path + (0,), kids[0]))
 
 
 def subformulas(f: Formula) -> set[Formula]:
@@ -417,23 +422,20 @@ def box_occurrences(f: Formula) -> list[tuple[int, ...]]:
     """Paths of all Box nodes, left-to-right and outermost-first.
 
     This enumeration order is the one witness and translation sequences
-    index into.
+    index into.  It is pre-order over child indices 0 and 1, so the list is
+    sorted, and boxes_within finds the boxes below any path by bisection.
     """
-    out: list[tuple[int, ...]] = []
+    return [path for path, g in subformula_occurrences(f) if isinstance(g, Box)]
 
-    def walk(g: Formula, path: tuple[int, ...]) -> None:
-        match g:
-            case Box(sub):
-                out.append(path)
-                walk(sub, path + (0,))
-            case Neg(sub):
-                walk(sub, path + (0,))
-            case And(l, r) | Or(l, r) | Imp(l, r):
-                walk(l, path + (0,))
-                walk(r, path + (1,))
 
-    walk(f, ())
-    return out
+def boxes_within(occ: list[tuple[int, ...]], path: tuple[int, ...]) -> range:
+    """Indices into occ = box_occurrences(f) of the boxes at or below path.
+
+    These are the paths that extend path; in the sorted list they form the
+    run from path up to path + (2,), which no child index reaches.  For a box
+    at index i the range starts at i, so range[1:] are the boxes inside it.
+    """
+    return range(bisect_left(occ, path), bisect_left(occ, path + (2,)))
 
 
 def count_boxes(f: Formula) -> int:

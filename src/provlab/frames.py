@@ -479,23 +479,14 @@ def find_countermodel(
     frame_class: FrameClass,
     max_nodes: int,
     budget: Budget | None = None,
-    extra_atoms: Sequence[str] = (),
 ) -> tuple[KripkeModel, str] | None:
     """First enumerated model and node refuting f, or None if none within bound.
 
-    Hits are re-verified through the naive forcing checker before being
-    returned, keeping the bit-sliced evaluator honest.
+    The entailment search with no premises: hits are re-verified through the
+    naive forcing checker before being returned, keeping the bit-sliced
+    evaluator honest.
     """
-    names, flavor = _names_for([f], frame_class)
-    names = sorted(set(names) | set(extra_atoms))
-    prog = CompiledFormulas([f], flavor)
-    for frame, blocks, length in _scan_frames(frame_class, max_nodes, names, budget):
-        full = (1 << frame.n * length) - 1
-        (res,) = prog.run(blocks, frame, length)
-        if res != full:
-            hit = _witness(frame, frame_class, blocks, length, res ^ full)
-            return _verified(hit, (), f, frame_class)
-    return None
+    return find_entailment_countermodel((), f, frame_class, max_nodes, budget)
 
 
 def sweep_refutations(

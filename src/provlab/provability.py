@@ -4,7 +4,9 @@ A witness assigns one natural number per box occurrence, in the left-to-right
 outermost-first order of box_occurrences; each box's number must strictly
 exceed every number assigned inside its scope.  The K4-to-GL translation is
 based on a sequence with the same validity condition, so one notion of
-ordered sequence serves both.
+ordered sequence serves both.  Which boxes lie inside a box is read from
+formulas.boxes_within, a slice of that sorted order; witness_check walks the
+formula instead, as an independent check of translation_valid.
 
 Interpretations are rendered purely symbolically: atoms become opaque
 substituted sentences and each box becomes an indexed provability operator
@@ -30,11 +32,10 @@ from .formulas import (
     Top,
     atoms,
     box_occurrences,
+    boxes_within,
     count_boxes,
-    modal_degree,
     print_formula,
     size,
-    subformula_at,
 )
 
 Witness = tuple[int, ...]
@@ -98,21 +99,20 @@ def translation_valid(t: Witness, f: Formula) -> bool:
     occ = box_occurrences(f)
     if len(t) != len(occ):
         raise WitnessLengthError(f"translation length {len(t)} != {len(occ)} box occurrences")
-    for i, outer in enumerate(occ):
-        for j, other in enumerate(occ):
-            if i != j and other[: len(outer)] == outer:
-                if t[i] <= t[j]:
-                    return False
+    for i, path in enumerate(occ):
+        if any(t[i] <= t[j] for j in boxes_within(occ, path)[1:]):
+            return False
     return True
 
 
 def canonical_witness(f: Formula, start: int = 0) -> Witness:
     """Witness each box by the nesting depth of its scope plus start."""
-    out = []
-    for path in box_occurrences(f):
-        scope = subformula_at(f, path).sub
-        out.append(modal_degree(scope) + start)
-    return tuple(out)
+    occ = box_occurrences(f)
+    depth = [0] * len(occ)
+    # innermost first: a scope's depth is one more than the deepest scope inside it
+    for i in reversed(range(len(occ))):
+        depth[i] = max((depth[j] + 1 for j in boxes_within(occ, occ[i])[1:]), default=0)
+    return tuple(d + start for d in depth)
 
 
 def parse_witness(text: str) -> Witness:

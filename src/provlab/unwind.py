@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .formulas import Formula, box_occurrences, children, subformula_at
+from .formulas import Formula, box_occurrences, boxes_within, subformula_occurrences
 from .kripke import FrameViolationError, GL_FRAME, K4_FRAME, KripkeModel, check, validate_frame
 from .provability import (
     InvalidWitnessError,
@@ -37,17 +37,10 @@ def t_complexity(a: Formula, t: Witness) -> dict[tuple[int, ...], int]:
     if not translation_valid(t, a):
         raise InvalidWitnessError(f"{t} is not a valid translation for the formula")
     occ = box_occurrences(a)
-    out: dict[tuple[int, ...], int] = {}
-
-    def walk(path: tuple[int, ...]) -> None:
-        inside = [t[i] for i, bp in enumerate(occ) if bp[: len(path)] == path]
-        out[path] = max(inside) if inside else -1
-        g = subformula_at(a, path)
-        for i in range(len(children(g))):
-            walk(path + (i,))
-
-    walk(())
-    return out
+    return {
+        path: max((t[i] for i in boxes_within(occ, path)), default=-1)
+        for path, _ in subformula_occurrences(a)
+    }
 
 
 def _path_name(path: tuple[str, ...]) -> str:
@@ -118,10 +111,9 @@ def unwind(model: KripkeModel, a: Formula, t: Witness) -> KripkeModel:
         ps = pieces[cluster]
         if len(ps) == 1 and is_orig_irrefl[_path_name(ps[0])]:
             continue
-        for pa in ps:
-            for pb in ps:
-                if len(pa) < len(pb) and pb[: len(pa)] == pa:
-                    rel.add((_path_name(pa), _path_name(pb)))
+        for pb in ps:
+            for k in range(1, len(pb)):
+                rel.add((_path_name(pb[:k]), _path_name(pb)))
 
     valuation: dict[str, frozenset[str]] = {}
     for atom, extension in model.valuation.items():
@@ -149,35 +141,40 @@ def _targets(model: KripkeModel, node: str, bound: int) -> list[str]:
     return out
 
 
+def _agrees(
+    model: KripkeModel, unw: KripkeModel, b: Formula, translated: Formula, bound: int,
+    nodes: tuple[str, ...],
+) -> bool:
+    """Each of nodes agrees about b with its unwound stand-ins of length <= bound
+    about translated."""
+    for node in nodes:
+        truth = check(model, node, b)
+        for target in _targets(model, node, bound):
+            if check(unw, target, translated) != truth:
+                return False
+    return True
+
+
 def verify_transfer(model: KripkeModel, a: Formula, t: Witness, node: str) -> bool:
     """Truth transfer at one node, both halves: the corresponding unwound
-    nodes agree with `node` about a / its translation."""
+    nodes agree with `node` about a / its translation.
+
+    This is claim2_holds at the root occurrence, whose complexity is max(t) = n,
+    so the stand-ins are those of length n + 1 - n = 1.
+    """
     unw = unwind(model, a, t)
-    translated = translate_k4_to_gl(a, t)
-    n = max(t) if t else -1
-    c_a = t_complexity(a, t)[()]
-    truth = check(model, node, a)
-    for target in _targets(model, node, n + 1 - c_a):
-        if check(unw, target, translated) != truth:
-            return False
-    return True
+    return _agrees(model, unw, a, translate_k4_to_gl(a, t), 1, (node,))
 
 
 def claim2_holds(model: KripkeModel, a: Formula, t: Witness) -> bool:
     """The full quantitative transfer: every subformula occurrence B agrees
     between each node and its unwound stand-ins of length <= n+1-C(B)."""
     unw = unwind(model, a, t)
-    comp = t_complexity(a, t)
     occ = box_occurrences(a)
     n = max(t) if t else -1
-    for path, c_b in comp.items():
-        sub = subformula_at(a, path)
-        slice_t = tuple(t[i] for i, bp in enumerate(occ) if bp[: len(path)] == path)
-        translated = translate_k4_to_gl(sub, slice_t)
-        bound = n + 1 - c_b
-        for node in model.nodes:
-            truth = check(model, node, sub)
-            for target in _targets(model, node, bound):
-                if check(unw, target, translated) != truth:
-                    return False
+    for path, b in subformula_occurrences(a):
+        slice_t = tuple(t[i] for i in boxes_within(occ, path))
+        bound = n + 1 - max(slice_t, default=-1)
+        if not _agrees(model, unw, b, translate_k4_to_gl(b, slice_t), bound, model.nodes):
+            return False
     return True

@@ -70,6 +70,31 @@ def test_oracle_report_bytes_are_pinned(suite):
     assert hashlib.sha256(report.encode()).hexdigest() == ORACLE_REPORT_DIGESTS[suite]
 
 
+# The same for the transfer and translation suites: t33 and l34 on SMALL
+# (l34 with 60 instances), the t99 suites on SMALL_BF.  t33 and l34 draw
+# from a seeded RNG in the order the translations are enumerated and drawn,
+# so a change to that order shows here.
+TRANSFER_REPORT_DIGESTS = {
+    "t33": "88441c254be2eee4eec268ebf74f941e4188eb1fdb49081f91ed33ed506517ab",
+    "l34": "40faeaac1b6a8280cdf080dcc9246506541db254aed655cbba6296dda727a910",
+    "t99-bpc": "5a5709e6a64c7e6e2c71dc3aa2d6176324220f1fec7793a22f488a117fd10513",
+    "t99-ebpc": "338bd28883119ade10d69cfdfae52374cd475ba67f75da44c65134d9afdf6c6a",
+    "t99-ipc": "85076dff5b18453a992bc297cae3351fb794bd3c6d767f2b0d6a7417cdc67c14",
+    "t99-fpl": "856a07b60a7e125a9ea3158fe000aec7252b2dc32411ad9f92ae297726aff315",
+    "t99-mpc": "a1e659e7b009b1d7b869adf9adc3deded50b0f4854ba6395e156f1e86850d654",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(TRANSFER_REPORT_DIGESTS))
+def test_transfer_report_bytes_are_pinned(suite):
+    if suite.startswith("t99"):
+        report = run_crosscheck(suite, corpus=SMALL_BF)
+    else:
+        report = run_crosscheck(suite, corpus=SMALL, instances=60)
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == TRANSFER_REPORT_DIGESTS[suite]
+
+
 def test_t99_suite_small():
     r = run_crosscheck("t99-fpl", corpus=SMALL_BF)
     assert r.ok

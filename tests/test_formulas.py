@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from provlab.corpus import DEFAULT_PARAMS, generate_corpus
 from provlab.formulas import (
     Atom,
     BOT,
@@ -22,6 +23,7 @@ from provlab.formulas import (
     Top,
     atoms,
     box_occurrences,
+    boxes_within,
     conj,
     count_boxes,
     disj,
@@ -34,7 +36,11 @@ from provlab.formulas import (
     print_sequent,
     size,
     subformula_at,
+    subformula_occurrences,
 )
+from provlab.provability import canonical_witness, translation_valid
+from provlab.prover import gls_reduce
+from provlab.unwind import t_complexity
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -146,6 +152,41 @@ def test_box_occurrences_trivial():
 @given(formulas())
 def test_box_occurrences_count_matches_boxes(f):
     assert count_boxes(f) == print_formula(f).count("[]")
+
+
+def test_boxes_within_is_the_prefix_definition():
+    for f in generate_corpus(DEFAULT_PARAMS).formulas:
+        occ = box_occurrences(f)
+        assert occ == sorted(occ)
+        for path, _ in subformula_occurrences(f):
+            prefixed = [i for i, bp in enumerate(occ) if bp[: len(path)] == path]
+            assert list(boxes_within(occ, path)) == prefixed
+
+
+def test_box_walks_do_not_recurse():
+    depth = 2000
+    f = Atom("p")
+    for _ in range(depth):
+        f = Box(f)
+    occ = box_occurrences(f)
+    assert len(occ) == count_boxes(f) == depth
+    assert occ[-1] == (0,) * (depth - 1)
+    t = tuple(range(depth - 1, -1, -1))
+    assert canonical_witness(f) == t
+    assert translation_valid(t, f)
+    assert not translation_valid(t[::-1], f)
+    comp = t_complexity(f, t)
+    assert len(comp) == depth + 1
+    assert comp[()] == depth - 1 and comp[(0,) * (depth - 1)] == 0 and comp[(0,) * depth] == -1
+    reduced = gls_reduce(f)
+    assert reduced.right is f
+    instances, g = [], reduced.left
+    while isinstance(g, And):
+        instances.append(g.right)
+        g = g.left
+    instances.append(g)
+    # the conjunction is left-associated: the outermost box's instance ends the left spine
+    assert len(instances) == depth and instances[-1] == Imp(f, f.sub)
 
 
 def test_parse_prop_rewrites_negation():
