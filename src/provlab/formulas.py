@@ -370,12 +370,6 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
-    for i in path:
-        f = children(f)[i]
-    return f
-
-
 def subformula_occurrences(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
     """Pre-order traversal yielding (path, subformula) pairs."""
     stack = [((), f)]

@@ -6,8 +6,10 @@ arranged along a strict partial order.  Frames are therefore generated as a
 quotient structure (a strict order, or a rooted tree for the tree-with-cluster
 classes) decorated with cluster sizes and reflexivity flags.  Quotients are
 enumerated in a "naturally labeled" form (node indices are a linear
-extension), which covers every isomorphism class; duplicate isomorphic frames
-are permitted, exact duplicates are removed.
+extension), which covers every isomorphism class; exact duplicates are
+removed.  ``frames_of_size`` keeps isomorphic copies, so countermodel search
+meets frames in a canonical order; validity sweeps scan
+``rooted_frames_of_size``, one rooted frame per isomorphism class.
 
 Enumeration order is canonical: node count, then adjacency bitmask, then
 valuation bitmask (sorted atoms, first atom in the least significant bits).
@@ -26,7 +28,7 @@ from typing import Iterator, Sequence
 
 from . import kripke
 from .budget import Budget
-from .formulas import And, Atom, Bot, Box, Formula, Imp, Neg, Or, Top, atoms as formula_atoms
+from .formulas import And, Atom, Bot, Box, Formula, Imp, Neg, Or, Top
 from .kripke import BOT_KEY, FrameClass, KripkeModel
 
 _CHUNK = 1 << 18
@@ -200,19 +202,60 @@ def frames_of_size(frame_class: FrameClass, n: int) -> tuple[_Frame, ...]:
     return tuple(sorted(found.values(), key=lambda fr: fr.bitmask))
 
 
+def _iso_key(frame: _Frame) -> int:
+    """The least adjacency bitmask over the relabelings that respect refined colours.
+
+    A node's colour starts as its reflexivity and is refined by the sorted
+    colours of its successors and of its predecessors until the partition is
+    stable.  Colours are ranks of sorted signatures, so an isomorphism maps
+    colour cells onto equal colour cells, and isomorphic frames have the same
+    set of colour-respecting relabelings: the key is a canonical form.  Only
+    permutations inside a cell are tried, never all n! of them.
+    """
+    n, succ = frame.n, frame.succ_masks
+    outs = [[j for j in range(n) if succ[i] >> j & 1] for i in range(n)]
+    ins = [[j for j in range(n) if succ[j] >> i & 1] for i in range(n)]
+    colour = [succ[i] >> i & 1 for i in range(n)]
+    while True:
+        sigs = [(colour[i], tuple(sorted(colour[j] for j in outs[i])),
+                 tuple(sorted(colour[j] for j in ins[i]))) for i in range(n)]
+        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        refined = [rank[sig] for sig in sigs]
+        if len(rank) == len(set(colour)):
+            break
+        colour = refined
+    cells = [[i for i in range(n) if refined[i] == c] for c in range(len(rank))]
+
+    def relabeled(order: tuple[tuple[int, ...], ...]) -> int:
+        label = [0] * n
+        for new, old in enumerate(itertools.chain.from_iterable(order)):
+            label[old] = new
+        return sum(1 << (label[a] * n + label[b]) for a, b in frame.rel)
+
+    return min(map(relabeled, itertools.product(*(itertools.permutations(cell) for cell in cells))))
+
+
 @lru_cache(maxsize=None)
 def rooted_frames_of_size(frame_class: FrameClass, n: int) -> tuple[_Frame, ...]:
-    """Frames with a node seeing every other node.
+    """One frame per isomorphism class of rooted frames: its least-bitmask member.
 
-    Any refutation lives inside the refuting node's generated submodel, which
-    is rooted and no larger, so validity sweeps may skip rootless frames.
+    A frame is rooted when a node sees every other node.  Any refutation lives
+    inside the refuting node's generated submodel, which is rooted and no
+    larger, and a frame isomorphic to a refuting one refutes too, so validity
+    sweeps may skip rootless frames and all but one frame of each class.  The
+    kept frame is the first of its class in canonical order, so the first
+    refuting frame a sweep meets is the one ``find_countermodel`` meets.
     """
     full = (1 << n) - 1
-    return tuple(
-        fr
-        for fr in frames_of_size(frame_class, n)
-        if any(fr.succ_masks[i] | (1 << i) == full for i in range(n))
-    )
+    seen: set[int] = set()
+    out = []
+    for fr in frames_of_size(frame_class, n):
+        if any(fr.succ_masks[i] | (1 << i) == full for i in range(n)):
+            key = _iso_key(fr)
+            if key not in seen:
+                seen.add(key)
+                out.append(fr)
+    return tuple(out)
 
 
 def _node_name(i: int) -> str:
@@ -292,44 +335,72 @@ class CompiledFormulas:
     def __init__(self, formulas: Sequence[Formula], flavor: str | None):
         self.flavor = flavor
         self.ops: list[tuple] = []
-        self._slot: dict[Formula, int] = {}
-        self.roots = [self._compile(f) for f in formulas]
+        slot: dict[Formula, int] = {}
 
-    def _emit(self, f: Formula, op: tuple) -> int:
-        self.ops.append(op)
-        idx = len(self.ops) - 1
-        self._slot[f] = idx
-        return idx
-
-    def _compile(self, f: Formula) -> int:
-        idx = self._slot.get(f)
-        if idx is not None:
+        def compile(f: Formula) -> int:
+            idx = slot.get(f)
+            if idx is not None:
+                return idx
+            match f:
+                case Atom(name):
+                    op = ("atom", name)
+                case Bot():
+                    op = ("atom", BOT_KEY) if flavor == "MPC" else ("bot",)
+                case Top():
+                    op = ("top",)
+                case And(l, r):
+                    op = ("and", compile(l), compile(r))
+                case Or(l, r):
+                    op = ("or", compile(l), compile(r))
+                case Neg(sub):
+                    op = ("neg", compile(sub)) if flavor is None else ("iimp", compile(sub), compile(Bot()))
+                case Imp(l, r):
+                    op = ("imp" if flavor is None else "iimp", compile(l), compile(r))
+                case Box(sub):
+                    if flavor is not None:
+                        raise TypeError("box is not part of the propositional language")
+                    op = ("box", compile(sub))
+                case _:
+                    raise TypeError(f"not a formula: {f!r}")
+            self.ops.append(op)
+            idx = slot[f] = len(self.ops) - 1
             return idx
-        match f:
-            case Atom(name):
-                return self._emit(f, ("atom", name))
-            case Bot():
-                if self.flavor == "MPC":
-                    return self._emit(f, ("atom", BOT_KEY))
-                return self._emit(f, ("bot",))
-            case Top():
-                return self._emit(f, ("top",))
-            case And(l, r):
-                return self._emit(f, ("and", self._compile(l), self._compile(r)))
-            case Or(l, r):
-                return self._emit(f, ("or", self._compile(l), self._compile(r)))
-            case Neg(sub):
-                if self.flavor is None:
-                    return self._emit(f, ("neg", self._compile(sub)))
-                return self._emit(f, ("iimp", self._compile(sub), self._compile(Bot())))
-            case Imp(l, r):
-                code = "imp" if self.flavor is None else "iimp"
-                return self._emit(f, (code, self._compile(l), self._compile(r)))
-            case Box(sub):
-                if self.flavor is not None:
-                    raise TypeError("box is not part of the propositional language")
-                return self._emit(f, ("box", self._compile(sub)))
-        raise TypeError(f"not a formula: {f!r}")
+
+        self.roots = [compile(f) for f in formulas]
+
+    def atom_names(self) -> list[str]:
+        """The sorted atoms the program reads, in the order that fixes valuations.
+
+        Under MPC, BOT_KEY is a name even where no bot occurs, so the
+        valuation order and the number of models charged do not depend on it.
+        """
+        names = {op[1] for op in self.ops if op[0] == "atom"}
+        if self.flavor == "MPC":
+            names.add(BOT_KEY)
+        return sorted(names)
+
+    def prune(self, keep: Sequence[int]) -> None:
+        """Keep only the roots at positions keep, and the ops they reach.
+
+        Operands precede the ops that read them, so one backward pass marks
+        what the kept roots reach and one forward pass renumbers it.
+        """
+        live = [False] * len(self.ops)
+        for i in keep:
+            live[self.roots[i]] = True
+        for idx in range(len(self.ops) - 1, -1, -1):
+            op = self.ops[idx]
+            if live[idx] and op[0] != "atom":
+                for arg in op[1:]:
+                    live[arg] = True
+        new = [-1] * len(self.ops)
+        ops: list[tuple] = []
+        for idx, op in enumerate(self.ops):
+            if live[idx]:
+                new[idx] = len(ops)
+                ops.append(op if op[0] == "atom" else (op[0], *(new[arg] for arg in op[1:])))
+        self.roots = [new[self.roots[i]] for i in keep]
+        self.ops = ops
 
     def run(self, atom_blocks: dict[str, int], frame: _Frame, length: int) -> list[int]:
         n = frame.n
@@ -464,14 +535,8 @@ def _verified(
     return hit
 
 
-def _names_for(formulas: Sequence[Formula], frame_class: FrameClass) -> tuple[list[str], str | None]:
-    flavor = frame_class.flavor if frame_class.kind == "Int" else None
-    names: set[str] = set()
-    for f in formulas:
-        names |= formula_atoms(f)
-    if flavor == "MPC":
-        names.add(BOT_KEY)
-    return sorted(names), flavor
+def _flavor(frame_class: FrameClass) -> str | None:
+    return frame_class.flavor if frame_class.kind == "Int" else None
 
 
 def find_countermodel(
@@ -499,35 +564,32 @@ def sweep_refutations(
 
     Returns, per formula, a verified refuting (model, node) or None if the
     formula holds at every node of every model within the bound.  The pass
-    scans rooted frames only, which loses no refutations (any refuting node's
-    generated submodel is rooted and no larger).
+    scans one rooted frame per isomorphism class (``rooted_frames_of_size``),
+    which loses no refutations and meets each formula's first refutation
+    where ``find_countermodel`` does.  The formulas are compiled once; a
+    chunk that refutes some of them prunes their ops from the program.
     """
-    names, flavor = _names_for(formulas, frame_class)
     result: dict[Formula, tuple[KripkeModel, str] | None] = {f: None for f in formulas}
     pending = list(dict.fromkeys(formulas))
     if not pending:
         return result
-    prog = CompiledFormulas(pending, flavor)
+    prog = CompiledFormulas(pending, _flavor(frame_class))
+    names = prog.atom_names()
     for frame, blocks, length in _scan_frames(frame_class, max_nodes, names, budget, rooted=True):
         full = (1 << frame.n * length) - 1
-        roots = prog.run(blocks, frame, length)
-        still = []
-        for f, res in zip(pending, roots):
+        keep = []
+        for i, (f, res) in enumerate(zip(pending, prog.run(blocks, frame, length))):
             if res == full:
-                still.append(f)
+                keep.append(i)
             else:
                 hit = _witness(frame, frame_class, blocks, length, res ^ full)
                 result[f] = _verified(hit, (), f, frame_class)
-        if len(still) != len(pending):
-            pending = still
-            if not pending:
+        if len(keep) != len(pending):
+            if not keep:
                 break
-            prog = CompiledFormulas(pending, flavor)
+            pending = [pending[i] for i in keep]
+            prog.prune(keep)
     return result
-
-
-def valid_within_bound(f: Formula, frame_class: FrameClass, max_nodes: int, budget: Budget | None = None) -> bool:
-    return find_countermodel(f, frame_class, max_nodes, budget) is None
 
 
 def find_entailment_countermodel(
@@ -544,9 +606,8 @@ def find_entailment_countermodel(
     re-verified through the naive forcing checker.
     """
     gamma = tuple(gamma)
-    names, flavor = _names_for(gamma + (a,), frame_class)
-    prog = CompiledFormulas(gamma + (a,), flavor)
-    for frame, blocks, length in _scan_frames(frame_class, max_nodes, names, budget):
+    prog = CompiledFormulas(gamma + (a,), _flavor(frame_class))
+    for frame, blocks, length in _scan_frames(frame_class, max_nodes, prog.atom_names(), budget):
         full = (1 << frame.n * length) - 1
         *held, res = prog.run(blocks, frame, length)
         bad = res ^ full

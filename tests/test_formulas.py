@@ -24,6 +24,7 @@ from provlab.formulas import (
     atoms,
     box_occurrences,
     boxes_within,
+    children,
     conj,
     count_boxes,
     disj,
@@ -35,7 +36,6 @@ from provlab.formulas import (
     print_formula,
     print_sequent,
     size,
-    subformula_at,
     subformula_occurrences,
 )
 from provlab.provability import canonical_witness, translation_valid
@@ -43,6 +43,12 @@ from provlab.prover import gls_reduce
 from provlab.unwind import t_complexity
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
+
+
+def subformula_at(f, path):
+    for i in path:
+        f = children(f)[i]
+    return f
 
 
 def formulas(max_leaves=6, atom_names=("p", "q")):

@@ -1,17 +1,20 @@
 import itertools
+import random
 
 import pytest
 
 from provlab import frames
 from provlab.budget import Budget, BudgetExhausted
+from provlab.corpus import BOX_FREE_PARAMS, DEFAULT_PARAMS, generate_corpus
 from provlab.formulas import Atom, atoms, parse_modal, parse_prop
 from provlab.frames import (
+    CompiledFormulas,
     enumerate_models,
     find_countermodel,
     find_entailment_countermodel,
     frames_of_size,
+    rooted_frames_of_size,
     sweep_refutations,
-    valid_within_bound,
 )
 from provlab.kripke import (
     BOT_KEY,
@@ -235,6 +238,10 @@ def test_find_countermodel_mpc_bot():
     assert find_countermodel(f, int_frame("IPC"), 3) is None
 
 
+def valid_within_bound(f, frame_class, max_nodes):
+    return find_countermodel(f, frame_class, max_nodes) is None
+
+
 def test_frame_soundness_of_axioms():
     ax4 = parse_modal("[]p -> [][]p")
     axT = parse_modal("[]p -> p")
@@ -246,17 +253,90 @@ def test_frame_soundness_of_axioms():
     assert valid_within_bound(parse_modal("~[]bot"), KD4_FRAME, 3)
 
 
+def restricted(hit, names):
+    """as_json(hit) with the valuation cut down to names; every other atom must be empty."""
+    if hit is None:
+        return None
+    model, node = as_json(hit)
+    assert not any(v for a, v in model["valuation"].items() if a not in names)
+    return {**model, "valuation": {a: v for a, v in model["valuation"].items() if a in names}}, node
+
+
 def test_sweep_matches_single_search():
-    fs = [parse_modal(s) for s in ["[]p -> p", "[]p -> [][]p", "p -> []p", "[](p -> p)"]]
-    swept = sweep_refutations(fs, K4_FRAME, 3)
-    for f in fs:
-        single = find_countermodel(f, K4_FRAME, 3)
-        if single is None:
-            assert swept[f] is None
-        else:
-            assert swept[f] is not None
-            assert swept[f][0].to_json() == single[0].to_json()
-            assert swept[f][1] == single[1]
+    # the isomorphism cut drops frames within these bounds, and a sweep must
+    # still meet each formula's first countermodel where the full scan does:
+    # the same frame, node and valuation of the formula's own atoms, byte
+    # for byte, with the sweep's other atoms empty
+    axioms = [parse_modal(s) for s in ["[]p -> p", "[]p -> [][]p", "p -> []p", "[](p -> p)"]]
+    modal = random.Random(6).sample(generate_corpus(DEFAULT_PARAMS).formulas, 40)
+    # the first countermodels of the last two lie in 3-node BPC classes of
+    # several enumerated frames
+    box_free = random.Random(6).sample(generate_corpus(BOX_FREE_PARAMS).formulas, 40) + [
+        parse_modal("~~p \\/ (~(p -> bot) \\/ bot -> (q -> q) -> q)"),
+        parse_modal("~((p \\/ bot) /\\ top) \\/ (q /\\ ((bot -> q) -> p -> bot) -> (~top -> p /\\ top) -> p)")]
+    for frame_class, fs, max_nodes in [(K4_FRAME, axioms, 3), (K4_FRAME, modal, 4),
+                                       (GL_FRAME, modal, 4), (int_frame("BPC"), box_free, 4)]:
+        assert any(len(rooted_frames_of_size(frame_class, n)) < len(rooted(frame_class, n))
+                   for n in range(1, max_nodes + 1))
+        swept = sweep_refutations(fs, frame_class, max_nodes)
+        assert any(swept[f] is not None for f in fs) and any(swept[f] is None for f in fs)
+        for f in fs:
+            assert restricted(swept[f], atoms(f)) == as_json(find_countermodel(f, frame_class, max_nodes)), f
+
+
+# -- the isomorphism cut of rooted_frames_of_size -----------------------------
+
+def rooted(frame_class, n):
+    """Every enumerated rooted frame of n nodes, isomorphic copies included."""
+    return [fr for fr in frames_of_size(frame_class, n)
+            if any(all(x == k or (k, x) in fr.rel for x in range(n)) for k in range(n))]
+
+
+def brute_canon(fr):
+    """Least adjacency bitmask over all n! relabelings."""
+    n = fr.n
+    return min(sum(1 << (perm[a] * n + perm[b]) for a, b in fr.rel)
+               for perm in itertools.permutations(range(n)))
+
+
+ALL_CLASSES = [(fc, 5) for fc in (K4_FRAME, KD4_FRAME, S4_FRAME, GL_FRAME)] + [
+    (int_frame(fl), 4) for fl in ("BPC", "IPC", "FPL", "MPC", "CPC")]
+
+
+@pytest.mark.parametrize("frame_class,max_nodes", ALL_CLASSES,
+                         ids=[fc.flavor if fc.kind == "Int" else fc.kind for fc, _ in ALL_CLASSES])
+def test_rooted_frames_keep_the_least_frame_of_each_class(frame_class, max_nodes):
+    for n in range(1, max_nodes + 1):
+        least: dict[int, int] = {}
+        for fr in rooted(frame_class, n):
+            least.setdefault(brute_canon(fr), fr.bitmask)
+        kept = rooted_frames_of_size(frame_class, n)
+        assert sorted(least.values()) == [fr.bitmask for fr in kept], (frame_class, n)
+
+
+def test_isomorphism_class_counts():
+    counts = {fc.kind: len(rooted_frames_of_size(fc, 6)) for fc in (K4_FRAME, GL_FRAME, KD4_FRAME, S4_FRAME)}
+    assert counts == {"K4": 1606, "GL": 63, "KD4": 498, "S4": 108}
+    assert len(rooted_frames_of_size(int_frame("BPC"), 5)) == 534
+
+
+@pytest.mark.parametrize("frame_class,texts", [(K4_FRAME, MODAL_TEXTS), (int_frame("MPC"), PROP_TEXTS)],
+                         ids=["K4", "MPC"])
+def test_pruned_program_matches_a_fresh_compile(frame_class, texts):
+    fs = [parse_modal(t) for t in texts]
+    flavor = frame_class.flavor if frame_class.kind == "Int" else None
+    for keep in ([0, 2, 4], [3], [1, 2, 3, 4], list(range(len(fs)))):
+        prog = CompiledFormulas(fs, flavor)
+        prog.prune(keep)
+        fresh = CompiledFormulas([fs[i] for i in keep], flavor)
+        assert len(prog.ops) == len(fresh.ops) and prog.atom_names() == fresh.atom_names()
+        names = fresh.atom_names()
+        for frame in rooted_frames_of_size(frame_class, 3):
+            allowed = frames._allowed_masks(frame, flavor is not None)
+            total = len(allowed) ** len(names)
+            for start, length in ((0, total), (5, 7), (total - 3, 3)):
+                blocks = frames._atom_blocks(names, allowed, frame.n, start, length)
+                assert prog.run(blocks, frame, length) == fresh.run(blocks, frame, length)
 
 
 @pytest.mark.parametrize("frame_class,refuted_text", [
