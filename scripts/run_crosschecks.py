@@ -5,10 +5,12 @@ Usage: python3 scripts/run_crosschecks.py [--out reports] [--quick]
 
 --quick shrinks the corpora to 150 formulas for a fast smoke run; the default
 is the full default corpus (2000 formulas, seed 1) and takes a few minutes.
+Each line gives the suite's time and the sha256 of the report it wrote.
 Exits nonzero if any suite reports a disagreement or evidence failure.
 """
 
 import argparse
+import hashlib
 import pathlib
 import sys
 import time
@@ -43,10 +45,12 @@ def main() -> int:
         report = run_crosscheck(suite, corpus=corpus)
         elapsed = time.time() - t0
         path = out / f"{suite}.json"
-        path.write_text(report.to_json() + "\n")
+        body = (report.to_json() + "\n").encode()
+        path.write_bytes(body)
+        digest = hashlib.sha256(body).hexdigest()
         summary = {k: v for k, v in report.summary.items() if k != "rule_coverage"}
         status = "ok" if report.ok else "FAILED"
-        print(f"{suite:<12} {status:<7} {elapsed:7.1f}s  {summary}", flush=True)
+        print(f"{suite:<12} {status:<7} {elapsed:7.1f}s  sha256 {digest}  {summary}", flush=True)
         if not report.ok:
             failed.append(suite)
     if failed:

@@ -7,9 +7,10 @@ quotient structure (a strict order, or a rooted tree for the tree-with-cluster
 classes) decorated with cluster sizes and reflexivity flags.  Quotients are
 enumerated in a "naturally labeled" form (node indices are a linear
 extension), which covers every isomorphism class; exact duplicates are
-removed.  ``frames_of_size`` keeps isomorphic copies, so countermodel search
-meets frames in a canonical order; validity sweeps scan
-``rooted_frames_of_size``, one rooted frame per isomorphism class.
+removed.  ``frames_of_size`` keeps isomorphic copies, and ``enumerate_models``
+streams them all; every countermodel search and validity sweep scans
+``rooted_frames_of_size``, one rooted frame per isomorphism class, through one
+loop, and meets the refutation a scan of every model would meet first.
 
 Enumeration order is canonical: node count, then adjacency bitmask, then
 valuation bitmask (sorted atoms, first atom in the least significant bits).
@@ -240,11 +241,12 @@ def rooted_frames_of_size(frame_class: FrameClass, n: int) -> tuple[_Frame, ...]
     """One frame per isomorphism class of rooted frames: its least-bitmask member.
 
     A frame is rooted when a node sees every other node.  Any refutation lives
-    inside the refuting node's generated submodel, which is rooted and no
-    larger, and a frame isomorphic to a refuting one refutes too, so validity
-    sweeps may skip rootless frames and all but one frame of each class.  The
-    kept frame is the first of its class in canonical order, so the first
-    refuting frame a sweep meets is the one ``find_countermodel`` meets.
+    inside the refuting node's generated submodel, which is rooted, no larger
+    and of the same class, and a frame isomorphic to a refuting one refutes
+    too, so the countermodel searches skip rootless frames and all but one
+    frame of each class.  At the least size with a refutation, every refuting
+    frame is rooted, so the first of them in canonical order is the first of
+    its class: the kept frame, and the one a scan of every frame meets first.
     """
     full = (1 << n) - 1
     seen: set[int] = set()
@@ -480,15 +482,11 @@ def _atom_blocks(
     return out
 
 
-def _scan_frames(
-    frame_class: FrameClass, max_nodes: int, names: list[str], budget: Budget | None,
-    rooted: bool = False,
-):
-    """Yield (frame, atom_blocks, length) chunks in canonical order."""
+def _scan_frames(frame_class: FrameClass, max_nodes: int, names: list[str], budget: Budget | None):
+    """Yield (frame, atom_blocks, length) chunks of the rooted frames, canonical order."""
     persistent = _persistent(frame_class)
-    source = rooted_frames_of_size if rooted else frames_of_size
     for n in range(1, max_nodes + 1):
-        for frame in source(frame_class, n):
+        for frame in rooted_frames_of_size(frame_class, n):
             allowed = _allowed_masks(frame, persistent)
             total = len(allowed) ** len(names) if names else 1
             for start in range(0, total, _CHUNK):
@@ -539,17 +537,57 @@ def _flavor(frame_class: FrameClass) -> str | None:
     return frame_class.flavor if frame_class.kind == "Int" else None
 
 
+def _refutations(
+    gamma: Sequence[Formula],
+    formulas: Sequence[Formula],
+    frame_class: FrameClass,
+    max_nodes: int,
+    budget: Budget | None,
+) -> dict[Formula, tuple[KripkeModel, str] | None]:
+    """Per formula, the first verified (model, node) forcing gamma but not it, or None.
+
+    One pass compiles gamma and the formulas once; a chunk that refutes some
+    formulas prunes their ops from the program, and the pass stops when none
+    is left.
+    """
+    result: dict[Formula, tuple[KripkeModel, str] | None] = {f: None for f in formulas}
+    pending = list(dict.fromkeys(formulas))
+    if not pending:
+        return result
+    gamma = tuple(gamma)
+    k = len(gamma)
+    prog = CompiledFormulas(gamma + tuple(pending), _flavor(frame_class))
+    for frame, blocks, length in _scan_frames(frame_class, max_nodes, prog.atom_names(), budget):
+        full = (1 << frame.n * length) - 1
+        vals = prog.run(blocks, frame, length)
+        premises = full
+        for g in vals[:k]:
+            premises &= g
+        keep = []
+        for i, (f, res) in enumerate(zip(pending, vals[k:])):
+            bad = 0 if res == full else (res ^ full) & premises
+            if bad:
+                hit = _witness(frame, frame_class, blocks, length, bad)
+                result[f] = _verified(hit, gamma, f, frame_class)
+            else:
+                keep.append(i)
+        if len(keep) != len(pending):
+            if not keep:
+                break
+            pending = [pending[i] for i in keep]
+            prog.prune([*range(k), *(k + i for i in keep)])
+    return result
+
+
 def find_countermodel(
     f: Formula,
     frame_class: FrameClass,
     max_nodes: int,
     budget: Budget | None = None,
 ) -> tuple[KripkeModel, str] | None:
-    """First enumerated model and node refuting f, or None if none within bound.
+    """First model and node refuting f, or None if none within the bound.
 
-    The entailment search with no premises: hits are re-verified through the
-    naive forcing checker before being returned, keeping the bit-sliced
-    evaluator honest.
+    The entailment search with no premises.
     """
     return find_entailment_countermodel((), f, frame_class, max_nodes, budget)
 
@@ -563,33 +601,11 @@ def sweep_refutations(
     """Refutation status of many formulas over one shared enumeration pass.
 
     Returns, per formula, a verified refuting (model, node) or None if the
-    formula holds at every node of every model within the bound.  The pass
-    scans one rooted frame per isomorphism class (``rooted_frames_of_size``),
-    which loses no refutations and meets each formula's first refutation
-    where ``find_countermodel`` does.  The formulas are compiled once; a
-    chunk that refutes some of them prunes their ops from the program.
+    formula holds at every node of every model within the bound.  Each
+    formula's refutation is the one ``find_countermodel`` returns for it, with
+    the atoms of the other formulas empty.
     """
-    result: dict[Formula, tuple[KripkeModel, str] | None] = {f: None for f in formulas}
-    pending = list(dict.fromkeys(formulas))
-    if not pending:
-        return result
-    prog = CompiledFormulas(pending, _flavor(frame_class))
-    names = prog.atom_names()
-    for frame, blocks, length in _scan_frames(frame_class, max_nodes, names, budget, rooted=True):
-        full = (1 << frame.n * length) - 1
-        keep = []
-        for i, (f, res) in enumerate(zip(pending, prog.run(blocks, frame, length))):
-            if res == full:
-                keep.append(i)
-            else:
-                hit = _witness(frame, frame_class, blocks, length, res ^ full)
-                result[f] = _verified(hit, (), f, frame_class)
-        if len(keep) != len(pending):
-            if not keep:
-                break
-            pending = [pending[i] for i in keep]
-            prog.prune(keep)
-    return result
+    return _refutations((), formulas, frame_class, max_nodes, budget)
 
 
 def find_entailment_countermodel(
@@ -599,20 +615,13 @@ def find_entailment_countermodel(
     max_nodes: int,
     budget: Budget | None = None,
 ) -> tuple[KripkeModel, str] | None:
-    """First model and node forcing every member of gamma but not a.
+    """First model and node forcing every member of gamma but not a, or None.
 
     Needed for the persistent semantics, where 'gamma holds and a fails at a
-    node' is not expressible as the failure of a single formula.  Hits are
-    re-verified through the naive forcing checker.
+    node' is not expressible as the failure of a single formula.  The scan
+    meets frames in canonical order (node count, then adjacency bitmask), one
+    rooted frame per isomorphism class, then valuations, then nodes; the hit
+    is the first one a scan of every enumerated model would meet, and the
+    naive forcing checker confirms it before it is returned.
     """
-    gamma = tuple(gamma)
-    prog = CompiledFormulas(gamma + (a,), _flavor(frame_class))
-    for frame, blocks, length in _scan_frames(frame_class, max_nodes, prog.atom_names(), budget):
-        full = (1 << frame.n * length) - 1
-        *held, res = prog.run(blocks, frame, length)
-        bad = res ^ full
-        for g in held:
-            bad &= g
-        if bad:
-            return _verified(_witness(frame, frame_class, blocks, length, bad), gamma, a, frame_class)
-    return None
+    return _refutations(gamma, (a,), frame_class, max_nodes, budget)[a]

@@ -3,34 +3,23 @@
 Each propositional logic maps to a translation flavor and a modal logic
 (BPC/K4, EBPC/KD4, IPC/S4, FPL/GL under b; MPC/S4 under w); the verdict is
 delegated to the modal sequent prover on the translated sequent.  CPC is
-decided by truth tables (equivalently, the one-reflexive-point frame).  Where
-a direct Kripke semantics exists (all but EBPC) a propositional countermodel
-is also produced and re-verified by the forcing checker.
+decided by its truth table: the countermodel search over its one frame, the
+reflexive point.  Where a direct Kripke semantics exists (all but EBPC) a
+propositional countermodel is also produced and re-verified by the forcing
+checker.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .budget import Budget, BudgetExhausted
+from .budget import Budget
 from .calculus import Logic
-from .formulas import (
-    And,
-    Atom,
-    Bot,
-    Formula,
-    Imp,
-    Neg,
-    Or,
-    Top,
-    atoms,
-    is_box_free,
-)
+from .formulas import Formula, is_box_free
 from .frames import find_entailment_countermodel
-# validate_frame is unused here; kept because the benchmark's tracer wraps
-# provlab.prop.validate_frame
+# check_int and validate_frame are unused here; kept because the benchmark's
+# tracer wraps provlab.prop.check_int and provlab.prop.validate_frame
 from .kripke import KripkeModel, check_int, int_frame, validate_frame
 from .prover import Exhausted, NotProvable, Provable, ProveResult, derives
 from .provability import translate_bhk
@@ -79,42 +68,6 @@ def _require_box_free(fs) -> None:
             raise ValueError("propositional inputs must be box-free")
 
 
-def _classical_value(f: Formula, assignment: dict[str, bool]) -> bool:
-    match f:
-        case Atom(name):
-            return assignment.get(name, False)
-        case Bot():
-            return False
-        case Top():
-            return True
-        case Neg(sub):
-            return not _classical_value(sub, assignment)
-        case And(l, r):
-            return _classical_value(l, assignment) and _classical_value(r, assignment)
-        case Or(l, r):
-            return _classical_value(l, assignment) or _classical_value(r, assignment)
-        case Imp(l, r):
-            return (not _classical_value(l, assignment)) or _classical_value(r, assignment)
-    raise TypeError(f"not a propositional formula: {f!r}")
-
-
-def _cpc_verdict(gamma: tuple[Formula, ...], a: Formula) -> PropVerdict:
-    names = sorted(set(atoms(a)).union(*(atoms(g) for g in gamma)) if gamma else atoms(a))
-    for values in itertools.product((False, True), repeat=len(names)):
-        assignment = dict(zip(names, values))
-        if all(_classical_value(g, assignment) for g in gamma) and not _classical_value(a, assignment):
-            model = KripkeModel(
-                ("k0",),
-                frozenset({("k0", "k0")}),
-                {n: frozenset({"k0"}) for n in names if assignment[n]},
-            )
-            if check_int(model, "k0", a, "CPC"):
-                raise AssertionError("CPC countermodel failed re-verification")
-            return PropVerdict(PropLogic.CPC, gamma, a, False, "truth-table",
-                               countermodel=(model, "k0"))
-    return PropVerdict(PropLogic.CPC, gamma, a, True, "truth-table")
-
-
 def prove_prop(
     logic: PropLogic,
     gamma,
@@ -126,7 +79,9 @@ def prove_prop(
     gamma = tuple(gamma)
     _require_box_free(gamma + (a,))
     if logic == PropLogic.CPC:
-        return _cpc_verdict(gamma, a)
+        # CPC frames are the one reflexive point, so this scan is the truth table
+        cm = find_entailment_countermodel(gamma, a, int_frame("CPC"), 1)
+        return PropVerdict(logic, gamma, a, cm is None, "truth-table", countermodel=cm)
     flavor, modal_logic = PROP_TO_MODAL[logic]
     tg = tuple(translate_bhk(g, flavor) for g in gamma)
     ta = translate_bhk(a, flavor)
@@ -143,10 +98,7 @@ def prove_prop(
     cm = None
     if logic in DIRECT_SEMANTICS:
         # a hit is re-checked by check_int, which validates the frame first
-        try:
-            cm = find_entailment_countermodel(gamma, a, int_frame(logic.value), countermodel_nodes)
-        except BudgetExhausted:
-            cm = None
+        cm = find_entailment_countermodel(gamma, a, int_frame(logic.value), countermodel_nodes)
     return PropVerdict(provable=False, countermodel=cm, **base)
 
 
@@ -172,8 +124,11 @@ def crosscheck_prop(
     """
     if logic not in DIRECT_SEMANTICS:
         raise ValueError(f"{logic.value} has no direct semantics in this workbench")
-    verdict = prove_prop(logic, (), f, budget)
-    hit = find_entailment_countermodel((), f, int_frame(logic.value), max_nodes)
+    verdict = prove_prop(logic, (), f, budget, countermodel_nodes=max_nodes)
+    if verdict.provable is False:
+        hit = verdict.countermodel
+    else:
+        hit = find_entailment_countermodel((), f, int_frame(logic.value), max_nodes)
     refuted = hit is not None
     hard = refuted and verdict.provable is True
     agree = (verdict.provable is True and not refuted) or (verdict.provable is False and refuted)

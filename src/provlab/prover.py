@@ -467,14 +467,13 @@ def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult
 
     goal = searched.formula()
     frame_class = FRAME_OF_LOGIC[st.logic]
+    max_nodes = max(budget.max_nodes, budget.escalate_nodes)
     try:
-        hit = find_countermodel(goal, frame_class, budget.max_nodes, budget)
-        if hit is None and budget.escalate_nodes > budget.max_nodes:
-            hit = find_countermodel(goal, frame_class, budget.escalate_nodes, budget)
+        hit = find_countermodel(goal, frame_class, max_nodes, budget)
     except BudgetExhausted as e:
         return Exhausted(logic, s, e.reason)
     if hit is None:
-        return Exhausted(logic, s, f"no countermodel within {max(budget.max_nodes, budget.escalate_nodes)} nodes")
+        return Exhausted(logic, s, f"no countermodel within {max_nodes} nodes")
     model, node = hit
     # find_countermodel has already confirmed with the naive checker that the
     # goal fails at node; it does not validate modal frames, so that stays here

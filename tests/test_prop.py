@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import provlab.kripke
 import provlab.prop
 from provlab.calculus import Logic
 from provlab.formulas import Atom, BOT, TOP, And, Box, Imp, Or, parse_prop
-from provlab.kripke import BOT_KEY, check_int
+from provlab.kripke import BOT_KEY, GL_FRAME, check, check_int, int_frame, validate_frame
+from provlab.prover import NotProvable
 from provlab.prop import (
     DIRECT_SEMANTICS,
     PROP_TO_MODAL,
@@ -75,9 +77,24 @@ def test_cpc_entailment_with_gamma():
 def test_cpc_countermodel_disagreement_raises(monkeypatch):
     # a truth-table countermodel the naive checker does not refute must be
     # caught by an explicit raise, which python -O keeps
-    monkeypatch.setattr(provlab.prop, "check_int", lambda *args: True)
+    monkeypatch.setattr(provlab.kripke, "check_int", lambda *args: True)
     with pytest.raises(AssertionError, match="re-verification"):
         prove_prop(PropLogic.CPC, [p], q)
+
+
+def test_fpl_refutation_found_within_the_default_budget():
+    # GL search refutes the translation; the scan of one rooted frame per
+    # isomorphism class then finds the countermodels before the models
+    # budget runs out
+    f = parse_prop("p -> q \\/ (q -> p \\/ top -> p -> bot /\\ p)")
+    v = prove_prop(PropLogic.FPL, [], f)
+    assert v.provable is False
+    model, node = v.countermodel
+    assert validate_frame(model, int_frame("FPL")) == []
+    assert check_int(model, node, f, "FPL") is False
+    assert isinstance(v.modal_result, NotProvable)
+    assert validate_frame(v.modal_result.model, GL_FRAME) == []
+    assert check(v.modal_result.model, v.modal_result.node, v.translated) is False
 
 
 def test_prop_rejects_boxes():

@@ -280,3 +280,16 @@ def test_exhausted_reason_names_the_largest_bound_searched():
     assert res.reason == "no countermodel within 1 nodes"
     res = prove(Logic.K4, s, Budget(max_nodes=1, escalate_nodes=1))
     assert res.reason == "no countermodel within 1 nodes"
+
+
+def test_escalation_scans_each_size_once():
+    # the first countermodel needs two nodes, past max_nodes: escalation
+    # charges one scan of sizes 1..3, not a scan of size 1 and then another
+    s = Sequent((), (parse_modal("[]p \\/ []~p"),))
+    budget = Budget(max_nodes=1, escalate_nodes=3)
+    res = prove(Logic.K4, s, budget)
+    single = Budget()
+    hit = find_countermodel(s.formula(), FRAME_OF_LOGIC[Logic.K4], 3, single)
+    assert isinstance(res, NotProvable) and len(res.model.nodes) == 2
+    assert (res.model.to_json(), res.node) == (hit[0].to_json(), hit[1])
+    assert budget.models_used == single.models_used
