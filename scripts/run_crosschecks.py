@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every cross-validation suite and write the reports to reports/.
 
-Usage: python3 scripts/run_crosschecks.py [--out reports] [--quick]
+Usage: python3 scripts/run_crosschecks.py [--out reports] [--quick] [--suites NAME ...]
 
 --quick shrinks the corpora to 150 formulas for a fast smoke run; the default
 is the full default corpus (2000 formulas, seed 1) and takes a few minutes.
@@ -25,7 +25,7 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="reports")
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--suites", nargs="*", default=list(SUITES))
+    parser.add_argument("--suites", nargs="*", default=list(SUITES), choices=list(SUITES))
     args = parser.parse_args()
 
     out = pathlib.Path(args.out)

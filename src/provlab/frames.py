@@ -60,19 +60,19 @@ def _make_frame(n: int, rel: frozenset[tuple[int, int]]) -> _Frame:
     return _Frame(n, rel, tuple(clusters), tuple(succ), bitmask)
 
 
-def _down_closed_subsets(i: int, downs: list[int]) -> Iterator[int]:
-    # subsets of {0..i-1}, as bitmasks, closed under the existing down-sets
-    for mask in range(1 << i):
-        ok = True
+def _closed_masks(reqs: Sequence[int]) -> list[int]:
+    """Subsets of range(len(reqs)), as ascending bitmasks, that hold reqs[x] for each member x."""
+    out = []
+    for mask in range(1 << len(reqs)):
         m = mask
         while m:
             x = (m & -m).bit_length() - 1
-            if downs[x] & ~mask:
-                ok = False
+            if reqs[x] & ~mask:
                 break
             m &= m - 1
-        if ok:
-            yield mask
+        else:
+            out.append(mask)
+    return out
 
 
 def _strict_orders(m: int) -> list[frozenset[tuple[int, int]]]:
@@ -84,7 +84,7 @@ def _strict_orders(m: int) -> list[frozenset[tuple[int, int]]]:
             rel = frozenset((x, j) for j in range(m) for x in range(j) if downs[j] >> x & 1)
             out.append(rel)
             return
-        for mask in _down_closed_subsets(i, downs):
+        for mask in _closed_masks(downs):
             rec(i + 1, downs + [mask])
 
     rec(0, [])
@@ -264,26 +264,13 @@ def _node_name(i: int) -> str:
     return f"k{i}"
 
 
-def _persistent(frame_class: FrameClass) -> bool:
-    return frame_class.kind == "Int"
+def _flavor(frame_class: FrameClass) -> str | None:
+    """The intuitionistic flavor, or None for a classical (modal) frame class."""
+    return frame_class.flavor if frame_class.kind == "Int" else None
 
 
 def _allowed_masks(frame: _Frame, persistent: bool) -> list[int]:
-    if not persistent:
-        return list(range(1 << frame.n))
-    out = []
-    for mask in range(1 << frame.n):
-        ok = True
-        m = mask
-        while m:
-            k = (m & -m).bit_length() - 1
-            if frame.succ_masks[k] & ~mask:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            out.append(mask)
-    return out
+    return _closed_masks(frame.succ_masks) if persistent else list(range(1 << frame.n))
 
 
 def frame_model(frame: _Frame, masks: dict[str, int], frame_class: FrameClass) -> KripkeModel:
@@ -308,7 +295,7 @@ def enumerate_models(max_nodes: int, frame_class: FrameClass, atom_set: Sequence
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
     names = sorted(set(atom_set))
-    persistent = _persistent(frame_class)
+    persistent = _flavor(frame_class) is not None
     for n in range(1, max_nodes + 1):
         for frame in frames_of_size(frame_class, n):
             allowed = _allowed_masks(frame, persistent)
@@ -484,7 +471,7 @@ def _atom_blocks(
 
 def _scan_frames(frame_class: FrameClass, max_nodes: int, names: list[str], budget: Budget | None):
     """Yield (frame, atom_blocks, length) chunks of the rooted frames, canonical order."""
-    persistent = _persistent(frame_class)
+    persistent = _flavor(frame_class) is not None
     for n in range(1, max_nodes + 1):
         for frame in rooted_frames_of_size(frame_class, n):
             allowed = _allowed_masks(frame, persistent)
@@ -522,19 +509,14 @@ def _verified(
     Raises AssertionError on disagreement, also under ``python -O``.
     """
     model, node = hit
-    if frame_class.kind == "Int":
-        def forced(g: Formula) -> bool:
-            return kripke.check_int(model, node, g, frame_class.flavor)
-    else:
-        def forced(g: Formula) -> bool:
-            return kripke.check(model, node, g)
+    flavor = _flavor(frame_class)
+
+    def forced(g: Formula) -> bool:
+        return kripke.check(model, node, g) if flavor is None else kripke.check_int(model, node, g, flavor)
+
     if forced(a) or not all(forced(g) for g in gamma):
         raise AssertionError("countermodel failed re-verification")
     return hit
-
-
-def _flavor(frame_class: FrameClass) -> str | None:
-    return frame_class.flavor if frame_class.kind == "Int" else None
 
 
 def _refutations(

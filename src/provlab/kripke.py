@@ -86,14 +86,6 @@ class KripkeModel:
     def holds(self, atom: str, node: str) -> bool:
         return node in self.valuation.get(atom, frozenset())
 
-    def cluster_of(self, node: str) -> frozenset[str]:
-        if self.clusters is None:
-            raise ValueError("model has no cluster partition")
-        for c in self.clusters:
-            if node in c:
-                return c
-        raise UnknownNodeError(node)
-
     def to_json(self) -> dict:
         out = {
             "nodes": list(self.nodes),

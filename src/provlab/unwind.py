@@ -2,19 +2,19 @@
 
 Each reflexive cluster I is replaced by all paths through I of length at most
 n+2 (n being the largest number the translation assigns), ordered by proper
-initial segment; irreflexive nodes survive unchanged.  Original atoms hold at
-a path iff they hold at its endpoint; the fresh atom q_i holds at every
-irreflexive node and at every path of length at most n+2-i.  The result
-validates the GL frame class and transfers truth: a node satisfying A maps to
-nodes satisfying the translated formula.
+initial segment; an irreflexive node is its own only path.  Original atoms
+hold at a path iff they hold at its endpoint; the fresh atom q_i holds at
+every path of length at most n+2-i, which includes every irreflexive node.
+The result validates the GL frame class and transfers truth: a node
+satisfying A maps to nodes satisfying the translated formula.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .formulas import Formula, box_occurrences, boxes_within, subformula_occurrences
-from .kripke import FrameViolationError, GL_FRAME, K4_FRAME, KripkeModel, check, validate_frame
+from .formulas import Box, Formula, box_occurrences, boxes_within, children, subformula_occurrences
+from .kripke import FrameViolationError, K4_FRAME, KripkeModel, check, validate_frame
 from .provability import (
     InvalidWitnessError,
     ReservedAtomCollision,
@@ -24,6 +24,8 @@ from .provability import (
 )
 
 PATH_SEP = "|"
+
+StandIns = dict[str, list[tuple[int, str]]]  # per original node: (path length, name)
 
 
 class QAtomCollision(ReservedAtomCollision):
@@ -43,19 +45,8 @@ def t_complexity(a: Formula, t: Witness) -> dict[tuple[int, ...], int]:
     }
 
 
-def _path_name(path: tuple[str, ...]) -> str:
-    return PATH_SEP.join(path)
-
-
-def _cluster_paths(members: tuple[str, ...], max_len: int) -> list[tuple[str, ...]]:
-    out = []
-    for length in range(1, max_len + 1):
-        out.extend(itertools.product(members, repeat=length))
-    return out
-
-
-def unwind(model: KripkeModel, a: Formula, t: Witness) -> KripkeModel:
-    """Cluster-unwinding transformation; output passes validate_frame(GL_FRAME)."""
+def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel, StandIns]:
+    """The unwound model and every original node's stand-ins, from one path table."""
     violations = validate_frame(model, K4_FRAME)
     if violations:
         raise FrameViolationError(violations)
@@ -69,88 +60,52 @@ def unwind(model: KripkeModel, a: Formula, t: Witness) -> KripkeModel:
         if PATH_SEP in k:
             raise ValueError(f"node id {k!r} contains the path separator {PATH_SEP!r}")
 
-    reflexive = {k: (k, k) in model.relation for k in model.nodes}
-    # X(I): the original node for irreflexive singletons, bounded paths otherwise
-    pieces: dict[frozenset[str], list[tuple[str, ...]]] = {}
+    table: dict[frozenset[str], list[tuple[tuple[str, ...], str]]] = {}
     for cluster in model.clusters:
         members = tuple(sorted(cluster))
-        if len(members) == 1 and not reflexive[members[0]]:
-            pieces[cluster] = [(members[0],)]
-        else:
-            pieces[cluster] = _cluster_paths(members, n + 2)
-
-    nodes: list[str] = []
-    lengths: dict[str, int] = {}
-    endpoint: dict[str, str] = {}
-    is_orig_irrefl: dict[str, bool] = {}
-    for cluster in model.clusters:
-        irrefl = len(cluster) == 1 and not reflexive[next(iter(cluster))]
-        for path in pieces[cluster]:
-            name = _path_name(path)
-            nodes.append(name)
-            lengths[name] = len(path)
-            endpoint[name] = path[-1]
-            is_orig_irrefl[name] = irrefl
+        # a cluster of two or more nodes is reflexive, by transitivity
+        max_len = n + 2 if (members[0], members[0]) in model.relation else 1
+        table[cluster] = [
+            (path, PATH_SEP.join(path))
+            for length in range(1, max_len + 1)
+            for path in itertools.product(members, repeat=length)
+        ]
+    rows = [row for cluster in model.clusters for row in table[cluster]]
 
     rel: set[tuple[str, str]] = set()
-    # R1: every inter-cluster edge of R connects all the corresponding pieces
+    # R1: every inter-cluster edge of R connects all the corresponding paths
     cluster_of = {k: c for c in model.clusters for k in c}
-    seen_pairs = set()
-    for (x, y) in model.relation:
-        cx, cy = cluster_of[x], cluster_of[y]
-        if cx == cy:
-            continue
-        if (cx, cy) in seen_pairs:
-            continue
-        seen_pairs.add((cx, cy))
-        for pa in pieces[cx]:
-            for pb in pieces[cy]:
-                rel.add((_path_name(pa), _path_name(pb)))
-    # R2: proper initial segments within each reflexive cluster
-    for cluster in model.clusters:
-        ps = pieces[cluster]
-        if len(ps) == 1 and is_orig_irrefl[_path_name(ps[0])]:
-            continue
-        for pb in ps:
-            for k in range(1, len(pb)):
-                rel.add((_path_name(pb[:k]), _path_name(pb)))
+    for cx, cy in {(cluster_of[x], cluster_of[y]) for x, y in model.relation}:
+        if cx != cy:
+            rel.update((pa, pb) for _, pa in table[cx] for _, pb in table[cy])
+    # R2: proper initial segments within each cluster
+    for path, name in rows:
+        rel.update((PATH_SEP.join(path[:k]), name) for k in range(1, len(path)))
 
-    valuation: dict[str, frozenset[str]] = {}
-    for atom, extension in model.valuation.items():
-        valuation[atom] = frozenset(name for name in nodes if endpoint[name] in extension)
+    valuation = {
+        atom: frozenset(name for path, name in rows if path[-1] in extension)
+        for atom, extension in model.valuation.items()
+    }
     for i in range(n + 1):
-        valuation[f"q{i}"] = frozenset(
-            name
-            for name in nodes
-            if is_orig_irrefl[name] or lengths[name] <= n + 2 - i
-        )
+        valuation[f"q{i}"] = frozenset(name for path, name in rows if len(path) <= n + 2 - i)
 
-    return KripkeModel(tuple(nodes), frozenset(rel), valuation, clusters=None)
+    stand_ins = {k: [(len(p), name) for p, name in table[cluster_of[k]] if p[-1] == k] for k in model.nodes}
+    return KripkeModel(tuple(name for _, name in rows), frozenset(rel), valuation, clusters=None), stand_ins
 
 
-def _targets(model: KripkeModel, node: str, bound: int) -> list[str]:
-    """Unwound nodes standing for `node`: the node itself if irreflexive, else
-    the paths through its cluster ending at node with length <= bound."""
-    if (node, node) not in model.relation:
-        return [node]
-    members = tuple(sorted(model.cluster_of(node)))
-    out = []
-    for path in _cluster_paths(members, bound):
-        if path[-1] == node:
-            out.append(_path_name(path))
-    return out
+def unwind(model: KripkeModel, a: Formula, t: Witness) -> KripkeModel:
+    """Cluster-unwinding transformation; output passes validate_frame(GL_FRAME)."""
+    return _unwinding(model, a, t)[0]
 
 
-def _agrees(
-    model: KripkeModel, unw: KripkeModel, b: Formula, translated: Formula, bound: int,
-    nodes: tuple[str, ...],
-) -> bool:
+def _agrees(model: KripkeModel, unw: KripkeModel, stand_ins: StandIns, b: Formula, translated: Formula,
+            bound: int, nodes: tuple[str, ...]) -> bool:
     """Each of nodes agrees about b with its unwound stand-ins of length <= bound
     about translated."""
     for node in nodes:
         truth = check(model, node, b)
-        for target in _targets(model, node, bound):
-            if check(unw, target, translated) != truth:
+        for length, name in stand_ins[node]:
+            if length <= bound and check(unw, name, translated) != truth:
                 return False
     return True
 
@@ -162,19 +117,23 @@ def verify_transfer(model: KripkeModel, a: Formula, t: Witness, node: str) -> bo
     This is claim2_holds at the root occurrence, whose complexity is max(t) = n,
     so the stand-ins are those of length n + 1 - n = 1.
     """
-    unw = unwind(model, a, t)
-    return _agrees(model, unw, a, translate_k4_to_gl(a, t), 1, (node,))
+    unw, stand_ins = _unwinding(model, a, t)
+    return _agrees(model, unw, stand_ins, a, translate_k4_to_gl(a, t), 1, (node,))
 
 
 def claim2_holds(model: KripkeModel, a: Formula, t: Witness) -> bool:
     """The full quantitative transfer: every subformula occurrence B agrees
-    between each node and its unwound stand-ins of length <= n+1-C(B)."""
-    unw = unwind(model, a, t)
-    occ = box_occurrences(a)
-    n = max(t) if t else -1
+    between each node and its unwound stand-ins of length <= n+1-C(B).
+
+    a is translated once: B's translation is the subterm at B's path, read
+    through each Box(q0 /\\ ... /\\ qm -> B') at its implication's right."""
+    unw, stand_ins = _unwinding(model, a, t)
+    translated = translate_k4_to_gl(a, t)
+    complexity = t_complexity(a, t)  # at the root, n = max(t)
     for path, b in subformula_occurrences(a):
-        slice_t = tuple(t[i] for i in boxes_within(occ, path))
-        bound = n + 1 - max(slice_t, default=-1)
-        if not _agrees(model, unw, b, translate_k4_to_gl(b, slice_t), bound, model.nodes):
+        tb = translated
+        for i in path:
+            tb = tb.sub.right if isinstance(tb, Box) else children(tb)[i]
+        if not _agrees(model, unw, stand_ins, b, tb, complexity[()] + 1 - complexity[path], model.nodes):
             return False
     return True

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -326,6 +327,21 @@ def test_rooted_frames_keep_the_least_frame_of_each_class(frame_class, max_nodes
             least.setdefault(brute_canon(fr), fr.bitmask)
         kept = rooted_frames_of_size(frame_class, n)
         assert sorted(least.values()) == [fr.bitmask for fr in kept], (frame_class, n)
+
+
+# sha256 of the frame lists, in enumeration order: enumerate_models, and the
+# unwinding and transfer suites through it, depend on this order.
+FRAME_LISTS_DIGEST = "5f1fba037c3b17e0a0e17d7e16e0612c85a945b381b68f3b15c5f8711c0b867f"
+
+
+def test_frame_lists_are_pinned():
+    modal = [K4_FRAME, KD4_FRAME, S4_FRAME, GL_FRAME]
+    sizes = [(fc, n) for fc in modal + [int_frame(fl) for fl in ("BPC", "IPC", "FPL", "MPC", "CPC")]
+             for n in range(1, 5)] + [(fc, 5) for fc in modal]
+    h = hashlib.sha256()
+    for fc, n in sizes:
+        h.update(repr((str(fc), n, [fr.bitmask for fr in frames_of_size(fc, n)])).encode())
+    assert h.hexdigest() == FRAME_LISTS_DIGEST
 
 
 def test_isomorphism_class_counts():

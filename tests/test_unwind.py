@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -113,6 +115,23 @@ def test_path_census_reflexive_cluster():
                 if all((seq[i], seq[i + 1]) in rel for i in range(len(seq) - 1)):
                     walks += 1
         assert len(out.nodes) == walks == sum(c**L for L in range(1, n + 3))
+
+
+# sha256 of the unwound models' JSON, which keeps the node order, over every
+# 3-node K4 model with a fixed formula of degree <= 2 and witness start 0-1.
+UNWIND_DIGEST = "058b3747c7b5f99501064848dcfa97a3e9326e805511714ee00f8ca85400896c"
+
+
+def test_unwinding_is_pinned():
+    texts = ("[]p", "[]p -> [][]p", "~[](~[]p /\\ q)", "[](p \\/ q) -> []p \\/ []q", "p /\\ []([]q -> p)")
+    fs = [parse_modal(s) for s in texts]
+    h = hashlib.sha256()
+    for i, m in enumerate(enumerate_models(3, K4_FRAME, ["p", "q"])):
+        f = fs[i % len(fs)]
+        out = unwind(m, f, canonical_witness(f, i % 2))
+        h.update(json.dumps(out.to_json(), sort_keys=True).encode())
+    assert i + 1 == 1432
+    assert h.hexdigest() == UNWIND_DIGEST
 
 
 def test_verify_transfer_reflexive_example():
