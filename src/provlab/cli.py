@@ -2,7 +2,9 @@
 
 Structured results are printed as JSON on stdout; human-oriented notes go to
 stderr (suppressed entirely under --json).  The crosscheck subcommand exits
-nonzero on any disagreement or evidence re-verification failure.
+nonzero on any disagreement or evidence re-verification failure.  Bad input
+exits 2 with one `error: <message>` line on stderr ({"error": <message>} on
+stdout under --json) and no traceback.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from .budget import Budget
 from .calculus import Logic
 from .corpus import CorpusParams, generate_corpus
 from .crosscheck import SUITES, run_crosscheck
-from .formulas import Sequent, parse_modal, parse_prop, print_formula
+from .formulas import FormulaSyntaxError, ReservedAtomError, Sequent, parse_modal, parse_prop, print_formula
 from .frames import find_countermodel
 from .kripke import (
+    FrameViolationError,
     GL_FRAME,
     K4_FRAME,
     KD4_FRAME,
@@ -28,6 +31,8 @@ from .kripke import (
 from .prop import PropLogic, prove_prop
 from .prover import Exhausted, NotProvable, Provable, prove
 from .provability import (
+    InvalidWitnessError,
+    ReservedAtomCollision,
     canonical_witness,
     expansions,
     interpret,
@@ -42,6 +47,10 @@ from .unwind import unwind
 
 MODAL_LOGICS = {l.value.lower(): l for l in Logic}
 PROP_LOGICS = {l.value.lower(): l for l in PropLogic}
+
+# bad input: reported in one line, exit code 2, no traceback
+INPUT_ERRORS = (FormulaSyntaxError, ReservedAtomError, InvalidWitnessError, ReservedAtomCollision,
+                FrameViolationError, json.JSONDecodeError, OSError)
 
 FRAME_CLASSES = {
     "k4": K4_FRAME,
@@ -322,7 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as e:
+        if args.json:
+            _emit({"error": str(e)})
+        else:
+            print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

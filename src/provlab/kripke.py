@@ -13,6 +13,7 @@ Frame classes:
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .formulas import BOT, And, Atom, Bot, Box, Formula, Imp, Neg, Or, Top
@@ -22,6 +23,8 @@ from .formulas import BOT, And, Atom, Bot, Box, Formula, Imp, Neg, Or, Top
 BOT_KEY = "bot"
 
 INT_FLAVORS = ("BPC", "IPC", "MPC", "FPL", "CPC")
+
+Force = Callable[[str, Formula], bool]  # a forcing test force(node, f), see _force
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ class KripkeModel:
 
 def check(model: KripkeModel, node: str, f: Formula) -> bool:
     """Classical forcing: boolean clauses at the node, Box quantifies over successors."""
-    return _force(model, node, f, None)
+    return _force(model, None)(node, f)
 
 
 def check_int(model: KripkeModel, node: str, f: Formula, flavor: str) -> bool:
@@ -144,14 +147,13 @@ def check_int(model: KripkeModel, node: str, f: Formula, flavor: str) -> bool:
     violations = validate_frame(model, int_frame(flavor))
     if violations:
         raise FrameViolationError(violations)
-    return _force(model, node, f, flavor)
+    return _force(model, flavor)(node, f)
 
 
-def _force(model: KripkeModel, node: str, f: Formula, flavor: str | None) -> bool:
+def _force(model: KripkeModel, flavor: str | None) -> Force:
     """The naive reference checker: classical forcing when flavor is None, else
-    persistent forcing for that propositional flavor (see check and check_int)."""
-    if node not in model._succ:
-        raise UnknownNodeError(node)
+    persistent forcing for that flavor (see check and check_int).  One memo per
+    model, shared by every question the returned force(node, f) is asked."""
     memo: dict[tuple[str, Formula], bool] = {}
     classical = flavor is None
 
@@ -186,7 +188,12 @@ def _force(model: KripkeModel, node: str, f: Formula, flavor: str | None) -> boo
         memo[key] = v
         return v
 
-    return go(node, f)
+    def force(node: str, f: Formula) -> bool:
+        if node not in model._succ:
+            raise UnknownNodeError(node)
+        return go(node, f)
+
+    return force
 
 
 Violation = tuple[str, tuple]

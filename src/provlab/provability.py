@@ -124,7 +124,7 @@ def parse_witness(text: str) -> Witness:
     vals = []
     for s in parts:
         if not s.isdigit():
-            raise ValueError(f"witness entries must be naturals, got {s!r}")
+            raise InvalidWitnessError(f"witness entries must be naturals, got {s!r}")
         vals.append(int(s))
     return tuple(vals)
 

