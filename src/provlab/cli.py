@@ -25,6 +25,7 @@ from .kripke import (
     K4_FRAME,
     KD4_FRAME,
     KripkeModel,
+    ModelFormatError,
     S4_FRAME,
     int_frame,
 )
@@ -48,9 +49,14 @@ from .unwind import unwind
 MODAL_LOGICS = {l.value.lower(): l for l in Logic}
 PROP_LOGICS = {l.value.lower(): l for l in PropLogic}
 
+
+class UsageError(ValueError):
+    """An option a command needs is missing or malformed."""
+
+
 # bad input: reported in one line, exit code 2, no traceback
 INPUT_ERRORS = (FormulaSyntaxError, ReservedAtomError, InvalidWitnessError, ReservedAtomCollision,
-                FrameViolationError, json.JSONDecodeError, OSError)
+                FrameViolationError, ModelFormatError, UsageError, json.JSONDecodeError, OSError)
 
 FRAME_CLASSES = {
     "k4": K4_FRAME,
@@ -153,7 +159,7 @@ def _cmd_translate(args) -> int:
     else:
         f = parse_modal(args.formula)
         if args.t is None:
-            raise SystemExit("k4gl translation needs --t")
+            raise UsageError("k4gl translation needs --t")
         out = translate_k4_to_gl(f, parse_witness(args.t))
     _emit({"flavor": args.flavor, "input": args.formula, "output": print_formula(out)})
     return 0
@@ -174,7 +180,7 @@ def _cmd_witness(args) -> int:
     f = parse_modal(args.formula)
     if args.mode == "check":
         if args.witness is None:
-            raise SystemExit("witness check needs --witness")
+            raise UsageError("witness check needs --witness")
         wit = parse_witness(args.witness)
         _emit({"formula": args.formula, "witness": print_witness(wit),
                "valid": witness_check(wit, f)})
@@ -191,7 +197,7 @@ def _cmd_render(args) -> int:
     for item in args.sigma:
         name, _, value = item.partition("=")
         if not value:
-            raise SystemExit(f"--sigma expects atom=sentence, got {item!r}")
+            raise UsageError(f"--sigma expects atom=sentence, got {item!r}")
         from .provability import SigmaAtom
 
         sigma[name] = SigmaAtom(value)

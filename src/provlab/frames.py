@@ -14,14 +14,21 @@ loop, and meets the refutation a scan of every model would meet first.
 
 Enumeration order is canonical: node count, then adjacency bitmask, then
 valuation bitmask (sorted atoms, first atom in the least significant bits).
-The fast path evaluates a whole chunk of valuations per frame at once,
-bit-sliced on Python ints: one int per subformula holds, for every node, one
-bit per valuation.  It reports the least failing valuation, then the least
-node, so "first countermodel" is the one the naive enumeration meets first.
+The fast path evaluates a batch of rooted frames of one size at once,
+bit-sliced on Python ints.  A frame's valuations are cut into chunks of at
+most ``_CHUNK``; chunks are packed side by side, in canonical order, into a
+batch until the next one would take it past ``_PACK`` bits per node.  One int
+per subformula holds, for every node i, a segment of ``width`` bits in which
+chunk f owns bits ``i * width + offset_f + v``, one per valuation v of the
+chunk.  Box and the persistent implication read, per node pair (i, j), an
+edge mask of the chunks whose frame does not let i see j.  A scan reports
+the least chunk, then the least valuation, then the least node that fails,
+so "first countermodel" is the one the naive enumeration meets first.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,16 +39,21 @@ from .budget import Budget
 from .formulas import And, Atom, Bot, Box, Formula, Imp, Neg, Or, Top
 from .kripke import BOT_KEY, FrameClass, KripkeModel
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 18  # most valuations of one frame in one chunk
+_PACK = 1 << 13  # most bits per node segment of a batch of several chunks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Frame:
     n: int
-    rel: frozenset[tuple[int, int]]
     clusters: tuple[tuple[int, ...], ...]
     succ_masks: tuple[int, ...]
     bitmask: int
+
+    @property
+    def rel(self) -> frozenset[tuple[int, int]]:
+        """The relation as (a, b) pairs; built on demand, so the cached frame lists stay small."""
+        return frozenset((a, b) for a, sm in enumerate(self.succ_masks) for b in range(self.n) if sm >> b & 1)
 
 
 def _make_frame(n: int, rel: frozenset[tuple[int, int]]) -> _Frame:
@@ -57,7 +69,7 @@ def _make_frame(n: int, rel: frozenset[tuple[int, int]]) -> _Frame:
         clusters.append(c)
         done.update(c)
     bitmask = sum(1 << (a * n + b) for a, b in rel)
-    return _Frame(n, rel, tuple(clusters), tuple(succ), bitmask)
+    return _Frame(n, tuple(clusters), tuple(succ), bitmask)
 
 
 def _closed_masks(reqs: Sequence[int]) -> list[int]:
@@ -226,12 +238,13 @@ def _iso_key(frame: _Frame) -> int:
             break
         colour = refined
     cells = [[i for i in range(n) if refined[i] == c] for c in range(len(rank))]
+    rel = frame.rel
 
     def relabeled(order: tuple[tuple[int, ...], ...]) -> int:
         label = [0] * n
         for new, old in enumerate(itertools.chain.from_iterable(order)):
             label[old] = new
-        return sum(1 << (label[a] * n + label[b]) for a, b in frame.rel)
+        return sum(1 << (label[a] * n + label[b]) for a, b in rel)
 
     return min(map(relabeled, itertools.product(*(itertools.permutations(cell) for cell in cells))))
 
@@ -275,7 +288,8 @@ def _allowed_masks(frame: _Frame, persistent: bool) -> list[int]:
 
 def frame_model(frame: _Frame, masks: dict[str, int], frame_class: FrameClass) -> KripkeModel:
     nodes = tuple(_node_name(i) for i in range(frame.n))
-    relation = frozenset((_node_name(a), _node_name(b)) for a, b in frame.rel)
+    relation = frozenset((nodes[a], nodes[b]) for a, sm in enumerate(frame.succ_masks)
+                         for b in range(frame.n) if sm >> b & 1)
     valuation = {
         atom: frozenset(_node_name(i) for i in range(frame.n) if mask >> i & 1)
         for atom, mask in masks.items()
@@ -310,15 +324,18 @@ def enumerate_models(max_nodes: int, frame_class: FrameClass, atom_set: Sequence
 
 
 class CompiledFormulas:
-    """Linearized subformula DAG, evaluated bit-sliced per frame over a chunk.
+    """Linearized subformula DAG, evaluated bit-sliced over a batch of chunks.
 
     Each slot holds the truth of one subformula as one int of ``n`` segments
-    of ``length`` bits: bit ``i * length + v`` is the truth at node ``i``
-    under valuation ``v`` of the chunk.  Connectives are word operations;
-    box is, per node, the AND of its successors' segments.  flavor None
-    means classical/modal forcing; a flavor string selects the persistent
-    propositional clauses (Imp is the box of ``~A \\/ B`` over successors,
-    bot reads the BOT_KEY atom under MPC).
+    of ``width`` bits: bit ``i * width + offset_f + v`` is the truth at node
+    ``i`` under valuation ``v`` of the batch's chunk ``f`` (see ``_Batch``).
+    Connectives are word operations; box sets node i's segment to the AND,
+    over the nodes j, of ``seg_j | lacks_ij``, where the edge mask
+    ``lacks_ij`` marks the chunks whose frame does not let i see j.  flavor
+    None means classical/modal forcing; a flavor string selects the
+    persistent propositional clauses (Imp is the box of ``~A \\/ B`` over
+    successors, bot reads the BOT_KEY atom under MPC).  A slot is freed
+    after its last reader, unless it is a root.
     """
 
     def __init__(self, formulas: Sequence[Formula], flavor: str | None):
@@ -356,6 +373,23 @@ class CompiledFormulas:
             return idx
 
         self.roots = [compile(f) for f in formulas]
+        self._plan()
+
+    def _plan(self) -> None:
+        """dead[idx]: the operands whose last reader is op idx, which run frees after it.
+
+        A root is never freed: run returns it.
+        """
+        last = {}
+        for idx, op in enumerate(self.ops):
+            if op[0] != "atom":
+                for arg in op[1:]:
+                    last[arg] = idx
+        for root in self.roots:
+            last.pop(root, None)
+        self.dead: list[tuple[int, ...]] = [()] * len(self.ops)
+        for arg, idx in last.items():
+            self.dead[idx] += (arg,)
 
     def atom_names(self) -> list[str]:
         """The sorted atoms the program reads, in the order that fixes valuations.
@@ -390,26 +424,28 @@ class CompiledFormulas:
                 ops.append(op if op[0] == "atom" else (op[0], *(new[arg] for arg in op[1:])))
         self.roots = [new[self.roots[i]] for i in keep]
         self.ops = ops
+        self._plan()
 
-    def run(self, atom_blocks: dict[str, int], frame: _Frame, length: int) -> list[int]:
-        n = frame.n
-        seg = (1 << length) - 1
-        full = (1 << n * length) - 1
-        shifts = [i * length for i in range(n)]
-        succ = [[j for j in range(n) if sm >> j & 1] for sm in frame.succ_masks]
+    def run(self, batch: _Batch) -> list[int]:
+        """The truth of each root over the batch."""
+        width = batch.width
+        seg = (1 << width) - 1
+        full = (1 << batch.n * width) - 1
+        shifts = range(0, batch.n * width, width)
+        edges, atoms = batch.edges, batch.atoms
 
         def box(x: int) -> int:
             segs = [x >> s & seg for s in shifts]
             out = 0
-            for s, js in zip(shifts, succ):
+            for s, row in zip(shifts, edges):
                 a = seg
-                for j in js:
-                    a &= segs[j]
+                for j, lacks in row:
+                    a &= segs[j] | lacks if lacks else segs[j]
                 out |= a << s
             return out
 
-        vals: list[int] = []
-        for op in self.ops:
+        vals: list[int | None] = []
+        for op, dead in zip(self.ops, self.dead):
             code = op[0]
             if code == "and":
                 v = vals[op[1]] & vals[op[2]]
@@ -424,19 +460,23 @@ class CompiledFormulas:
             elif code == "neg":
                 v = vals[op[1]] ^ full
             elif code == "atom":
-                v = atom_blocks[op[1]]
+                v = atoms[op[1]]
             elif code == "bot":
                 v = 0
             else:  # top
                 v = full
-            vals.append(v)
+            # true everywhere: keep the one full int, so the many roots that
+            # a sweep cannot refute hold no memory of their own
+            vals.append(full if v == full else v)
+            for arg in dead:
+                vals[arg] = None
         return [vals[r] for r in self.roots]
 
 
-def _atom_blocks(
+def _atom_rows(
     names: list[str], allowed: list[int], n: int, start: int, length: int
-) -> dict[str, int]:
-    """Bit-sliced truth of each atom over valuations start .. start + length - 1.
+) -> dict[str, list[int]]:
+    """Per atom and node, its truth over valuations start .. start + length - 1, one bit each.
 
     Atom k is digit k of the valuation index in base len(allowed): runs of
     base**k equal valuations, repeating with period base**(k+1).  A period
@@ -465,40 +505,88 @@ def _atom_blocks(
                 repunit |= repunit << width
                 width <<= 1
             rows = [row * repunit >> offset & seg for row in rows]
-        out[name] = sum(row << i * length for i, row in enumerate(rows))
+        out[name] = rows
     return out
 
 
-def _scan_frames(frame_class: FrameClass, max_nodes: int, names: list[str], budget: Budget | None):
-    """Yield (frame, atom_blocks, length) chunks of the rooted frames, canonical order."""
+class _Batch:
+    """Chunks of rooted frames of one size, laid side by side for one run.
+
+    chunks holds (frame, length, rows) triples, rows as ``_atom_rows`` gives
+    them.  Chunk f owns bits offsets[f] .. offsets[f] + length - 1 of each
+    node's segment of ``width`` bits.  atoms holds each atom's truth in that
+    layout; edges[i] lists, for each node j that i sees in some chunk's
+    frame, j and the mask of the chunks whose frame does not let i see j (0
+    when every frame does).
+    """
+
+    def __init__(self, n: int, chunks: list[tuple[_Frame, int, dict[str, list[int]]]]):
+        self.n, self.chunks = n, chunks
+        self.offsets = list(itertools.accumulate((length for _, length, _ in chunks), initial=0))
+        self.width = self.offsets.pop()
+        lacks = [[0] * n for _ in range(n)]
+        packed = {name: [0] * n for name in chunks[0][2]}
+        for (frame, length, rows), offset in zip(chunks, self.offsets):
+            bits = ((1 << length) - 1) << offset
+            for i, sm in enumerate(frame.succ_masks):
+                for j in range(n):
+                    if not sm >> j & 1:
+                        lacks[i][j] |= bits
+            for name, row in rows.items():
+                acc = packed[name]
+                for i in range(n):
+                    acc[i] |= row[i] << offset
+        self.atoms = {name: sum(row << i * self.width for i, row in enumerate(acc))
+                      for name, acc in packed.items()}
+        seg = (1 << self.width) - 1
+        self.edges = [[(j, mask) for j, mask in enumerate(row) if mask != seg] for row in lacks]
+
+
+def _batches(frame_class: FrameClass, max_nodes: int, names: list[str]) -> Iterator[_Batch]:
+    """The chunks of the rooted frames, canonical order, packed into batches of one size.
+
+    A chunk joins the open batch unless that would take it past _PACK bits
+    per node, so a chunk longer than _PACK (each _CHUNK-sized piece of a
+    large frame, for one) makes a batch of its own.  Atom rows are built once
+    per run of chunks with equal (allowed masks, start, length), which in a
+    modal class is every whole frame of one size.
+    """
     persistent = _flavor(frame_class) is not None
+    key = rows = None
     for n in range(1, max_nodes + 1):
+        chunks: list[tuple[_Frame, int, dict[str, list[int]]]] = []
+        width = 0
         for frame in rooted_frames_of_size(frame_class, n):
             allowed = _allowed_masks(frame, persistent)
             total = len(allowed) ** len(names) if names else 1
             for start in range(0, total, _CHUNK):
-                stop = min(start + _CHUNK, total)
-                if budget is not None:
-                    budget.spend_models(stop - start)
-                yield frame, _atom_blocks(names, allowed, n, start, stop - start), stop - start
+                length = min(_CHUNK, total - start)
+                if key != (allowed, start, length):
+                    key = (allowed, start, length)
+                    rows = _atom_rows(names, allowed, n, start, length)
+                if chunks and width + length > _PACK:
+                    yield _Batch(n, chunks)
+                    chunks, width = [], 0
+                chunks.append((frame, length, rows))
+                width += length
+        if chunks:
+            yield _Batch(n, chunks)
 
 
-def _witness(
-    frame: _Frame, frame_class: FrameClass, atom_blocks: dict[str, int], length: int, bad: int
-) -> tuple[KripkeModel, str]:
-    """Model and node of the least valuation, then least node, set in bad."""
-    seg = (1 << length) - 1
-    rows = [bad >> i * length & seg for i in range(frame.n)]
+def _witness(batch: _Batch, frame_class: FrameClass, bad: int) -> tuple[int, tuple[KripkeModel, str]]:
+    """The chunk, and the model and node, of the least chunk, then valuation, then node set in bad."""
+    n, width = batch.n, batch.width
+    seg = (1 << width) - 1
     some = 0
-    for row in rows:
-        some |= row
-    v = (some & -some).bit_length() - 1
-    node = next(i for i, row in enumerate(rows) if row >> v & 1)
-    masks = {
-        name: sum((block >> i * length + v & 1) << i for i in range(frame.n))
-        for name, block in atom_blocks.items()
-    }
-    return frame_model(frame, masks, frame_class), _node_name(node)
+    for i in range(n):
+        some |= bad >> i * width & seg
+    b = (some & -some).bit_length() - 1
+    f = bisect.bisect_right(batch.offsets, b) - 1
+    frame, _, rows = batch.chunks[f]
+    v = b - batch.offsets[f]
+    node = next(i for i in range(n) if bad >> i * width + b & 1)
+    masks = {name: sum((row[i] >> v & 1) << i for i in range(n)) for name, row in rows.items()}
+    return f, (frame_model(frame, masks, frame_class), _node_name(node))
 
 
 def _verified(
@@ -528,9 +616,12 @@ def _refutations(
 ) -> dict[Formula, tuple[KripkeModel, str] | None]:
     """Per formula, the first verified (model, node) forcing gamma but not it, or None.
 
-    One pass compiles gamma and the formulas once; a chunk that refutes some
-    formulas prunes their ops from the program, and the pass stops when none
-    is left.
+    One pass compiles gamma and the formulas once and runs it per batch.
+    The batch's chunks are then charged to the budget one at a time, in
+    canonical order, and each formula's first refutation is verified at its
+    chunk; the pass stops once none is pending, so the charge and the hits
+    are those of a scan chunk by chunk.  A batch that refutes some formulas
+    prunes their ops from the program.
     """
     result: dict[Formula, tuple[KripkeModel, str] | None] = {f: None for f in formulas}
     pending = list(dict.fromkeys(formulas))
@@ -539,23 +630,29 @@ def _refutations(
     gamma = tuple(gamma)
     k = len(gamma)
     prog = CompiledFormulas(gamma + tuple(pending), _flavor(frame_class))
-    for frame, blocks, length in _scan_frames(frame_class, max_nodes, prog.atom_names(), budget):
-        full = (1 << frame.n * length) - 1
-        vals = prog.run(blocks, frame, length)
+    for batch in _batches(frame_class, max_nodes, prog.atom_names()):
+        full = (1 << batch.n * batch.width) - 1
+        vals = prog.run(batch)
         premises = full
         for g in vals[:k]:
             premises &= g
-        keep = []
-        for i, (f, res) in enumerate(zip(pending, vals[k:])):
+        hits: dict[int, list[tuple[Formula, tuple[KripkeModel, str]]]] = {}
+        for f, res in zip(pending, vals[k:]):
             bad = 0 if res == full else (res ^ full) & premises
             if bad:
-                hit = _witness(frame, frame_class, blocks, length, bad)
+                chunk, hit = _witness(batch, frame_class, bad)
+                hits.setdefault(chunk, []).append((f, hit))
+        refuted = 0
+        for chunk, (_, length, _) in enumerate(batch.chunks):
+            if budget is not None:
+                budget.spend_models(length)
+            for f, hit in hits.get(chunk, ()):
                 result[f] = _verified(hit, gamma, f, frame_class)
-            else:
-                keep.append(i)
-        if len(keep) != len(pending):
-            if not keep:
-                break
+                refuted += 1
+            if refuted == len(pending):
+                return result
+        if refuted:
+            keep = [i for i, f in enumerate(pending) if result[f] is None]
             pending = [pending[i] for i in keep]
             prog.prune([*range(k), *(k + i for i in keep)])
     return result

@@ -60,6 +60,16 @@ class FrameViolationError(ValueError):
         self.violations = violations
 
 
+class ModelFormatError(ValueError):
+    """A model's JSON lacks a key or has a value of the wrong shape."""
+
+
+def _names(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ModelFormatError(f"model {what} must be a list of node names, got {value!r}")
+    return value
+
+
 @dataclass
 class KripkeModel:
     """Finite directed graph with valuation and optional cluster partition.
@@ -101,15 +111,29 @@ class KripkeModel:
 
     @staticmethod
     def from_json(data: dict | str) -> "KripkeModel":
+        """The model of to_json's format; ModelFormatError names a missing key or bad shape."""
         if isinstance(data, str):
             data = json.loads(data)
-        clusters = None
-        if data.get("clusters") is not None:
-            clusters = tuple(frozenset(c) for c in data["clusters"])
+        if not isinstance(data, dict):
+            raise ModelFormatError(f"model JSON must be an object, got {type(data).__name__}")
+        for key in ("nodes", "relation"):
+            if key not in data:
+                raise ModelFormatError(f"model JSON has no {key!r} key")
+        relation = data["relation"]
+        if not isinstance(relation, list) or not all(len(_names(e, "edge")) == 2 for e in relation):
+            raise ModelFormatError(f"model relation must be a list of [node, node] pairs, got {relation!r}")
+        valuation = data.get("valuation", {})
+        if not isinstance(valuation, dict):
+            raise ModelFormatError(f"model valuation must be an object, got {valuation!r}")
+        clusters = data.get("clusters")
+        if clusters is not None:
+            if not isinstance(clusters, list):
+                raise ModelFormatError(f"model clusters must be a list, got {clusters!r}")
+            clusters = tuple(frozenset(_names(c, "cluster")) for c in clusters)
         return KripkeModel(
-            nodes=tuple(data["nodes"]),
-            relation=frozenset((a, b) for a, b in data["relation"]),
-            valuation={a: frozenset(ns) for a, ns in data.get("valuation", {}).items()},
+            nodes=tuple(_names(data["nodes"], "nodes")),
+            relation=frozenset((a, b) for a, b in relation),
+            valuation={a: frozenset(_names(ns, f"valuation of {a!r}")) for a, ns in valuation.items()},
             clusters=clusters,
         )
 

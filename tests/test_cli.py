@@ -176,3 +176,24 @@ def test_non_k4_model_exits_2(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"nodes": ["a"], "relation": [["a", "a"]], "valuation": {}}))
     assert "clusters-missing" in bad_input(capsys, "unwind", "--model", str(path), "--formula", "[]p", "--t", "0")
+
+
+@pytest.mark.parametrize("data,key", [({"relation": []}, "'nodes'"), ([], "object"),
+                                      ({"nodes": 3, "relation": []}, "nodes")],
+                         ids=["no-nodes", "not-an-object", "nodes-not-a-list"])
+def test_malformed_model_file_exits_2(tmp_path, capsys, data, key):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert key in bad_input(capsys, "unwind", "--model", str(path), "--formula", "[]p", "--t", "0")
+
+
+def test_k4gl_without_t_exits_2(capsys):
+    assert "--t" in bad_input(capsys, "translate", "--flavor", "k4gl", "[]p")
+
+
+def test_witness_check_without_witness_exits_2(capsys):
+    assert "--witness" in bad_input(capsys, "witness", "check", "[]p")
+
+
+def test_bad_sigma_exits_2(capsys):
+    assert "atom=sentence" in bad_input(capsys, "render", "--witness", "4", "--sigma", "p", "[]p")

@@ -283,7 +283,8 @@ def test_sweep_matches_single_search(monkeypatch):
     # the same frame, node and valuation of the formula's own atoms, byte
     # for byte, with the sweep's other atoms empty.  The reference search
     # scans every enumerated frame, so it does not share the cut it checks.
-    axioms = [parse_modal(s) for s in ["[]p -> p", "[]p -> [][]p", "p -> []p", "[](p -> p)"]]
+    # "p -> p" is also an operand of "[](p -> p)": a root that another root reads
+    axioms = [parse_modal(s) for s in ["[]p -> p", "[]p -> [][]p", "p -> []p", "[](p -> p)", "p -> p"]]
     modal = random.Random(6).sample(generate_corpus(DEFAULT_PARAMS).formulas, 40)
     box_free = random.Random(6).sample(generate_corpus(BOX_FREE_PARAMS).formulas, 40) + [
         parse_modal(t) for t in BPC_CUT_TEXTS]
@@ -361,43 +362,52 @@ def test_pruned_program_matches_a_fresh_compile(frame_class, texts):
         fresh = CompiledFormulas([fs[i] for i in keep], flavor)
         assert len(prog.ops) == len(fresh.ops) and prog.atom_names() == fresh.atom_names()
         names = fresh.atom_names()
+        chunks = []
         for frame in rooted_frames_of_size(frame_class, 3):
             allowed = frames._allowed_masks(frame, flavor is not None)
             total = len(allowed) ** len(names)
             for start, length in ((0, total), (5, 7), (total - 3, 3)):
-                blocks = frames._atom_blocks(names, allowed, frame.n, start, length)
-                assert prog.run(blocks, frame, length) == fresh.run(blocks, frame, length)
+                chunks.append((frame, length, frames._atom_rows(names, allowed, frame.n, start, length)))
+        # each chunk alone, and all of them side by side in one batch
+        for batch in [frames._Batch(3, [chunk]) for chunk in chunks] + [frames._Batch(3, chunks)]:
+            assert prog.run(batch) == fresh.run(batch)
 
 
-@pytest.mark.parametrize("frame_class,refuted_text", [
+THREE_ATOM_CASES = [
     (K4_FRAME, "[](r -> p \\/ q) -> [](r -> p) \\/ [](r -> q)"),
     (int_frame("IPC"), "(r -> p \\/ q) -> (r -> p) \\/ (r -> q)"),
-], ids=["K4", "IPC"])
+]
+THREE_ATOM_VALID = "p /\\ q /\\ r -> (r \\/ ~p)"
+THREE_ATOM_GAMMA = ("p \\/ r", "~q")
+
+
+def three_atom_results(frame_class, refuted):
+    """(hit, models charged, whether the scan ran to the end) of each search
+    over the three-atom cases at 3 nodes."""
+    valid = parse_modal(THREE_ATOM_VALID)
+    gamma = tuple(map(parse_modal, THREE_ATOM_GAMMA))
+    out = []
+    for f in (refuted, valid):
+        b = Budget()
+        hit = as_json(find_countermodel(f, frame_class, 3, b))
+        out.append((hit, b.models_used, hit is None))
+        b = Budget()
+        hit = as_json(find_entailment_countermodel(gamma, f, frame_class, 3, b))
+        out.append((hit, b.models_used, hit is None))
+    b = Budget()
+    swept = sweep_refutations([refuted, valid], frame_class, 3, b)
+    out.append(([as_json(swept[refuted]), as_json(swept[valid])], b.models_used, True))
+    return out
+
+
+@pytest.mark.parametrize("frame_class,refuted_text", THREE_ATOM_CASES, ids=["K4", "IPC"])
 def test_chunk_boundaries_do_not_change_results(frame_class, refuted_text, monkeypatch):
     # 3 atoms, first refuted at 3 nodes: the digit periods (base, base**2,
     # base**3) are not multiples of 7, so chunks start inside digit runs
     refuted = parse_modal(refuted_text)
-    valid = parse_modal("p /\\ q /\\ r -> (r \\/ ~p)")
-    gamma = (parse_modal("p \\/ r"), parse_modal("~q"))
-
-    def results():
-        # (hit, models charged, whether the scan ran to the end)
-        out = []
-        for f in (refuted, valid):
-            b = Budget()
-            hit = as_json(find_countermodel(f, frame_class, 3, b))
-            out.append((hit, b.models_used, hit is None))
-            b = Budget()
-            hit = as_json(find_entailment_countermodel(gamma, f, frame_class, 3, b))
-            out.append((hit, b.models_used, hit is None))
-        b = Budget()
-        swept = sweep_refutations([refuted, valid], frame_class, 3, b)
-        out.append(([as_json(swept[refuted]), as_json(swept[valid])], b.models_used, True))
-        return out
-
-    default = results()
+    default = three_atom_results(frame_class, refuted)
     monkeypatch.setattr(frames, "_CHUNK", 7)
-    chunked = results()
+    chunked = three_atom_results(frame_class, refuted)
     assert default[0][0] is not None and default[2][0] is None
     for (hit, used, complete), (hit7, used7, _) in zip(default, chunked):
         assert hit7 == hit
@@ -405,11 +415,44 @@ def test_chunk_boundaries_do_not_change_results(frame_class, refuted_text, monke
         assert used7 == used if complete else used7 <= used
 
 
+@pytest.mark.parametrize("frame_class,refuted_text", THREE_ATOM_CASES, ids=["K4", "IPC"])
+def test_packing_width_does_not_change_results(frame_class, refuted_text, monkeypatch):
+    # width 1 runs every chunk alone; 1 << 40 packs every frame of one size
+    # into one run.  Chunks are charged one at a time either way, so the hits,
+    # the models charged and the point where the budget runs out are equal.
+    refuted = parse_modal(refuted_text)
+    valid = parse_modal(THREE_ATOM_VALID)
+
+    def stop(models):
+        b = Budget(models=models)
+        with pytest.raises(BudgetExhausted):
+            sweep_refutations([valid], frame_class, 3, b)
+        return b.models_used
+
+    up_to = []
+    for n in (2, 3):
+        b = Budget()
+        sweep_refutations([valid], frame_class, n, b)
+        up_to.append(b.models_used)
+    # half way through the models of 3 nodes: at the default width the
+    # budget runs out at a chunk that does not end its batch
+    middle = (up_to[0] + up_to[1]) // 2
+    default = three_atom_results(frame_class, refuted), stop(middle)
+    names = CompiledFormulas([valid], frames._flavor(frame_class)).atom_names()
+    ends = list(itertools.accumulate(batch.width for batch in frames._batches(frame_class, 3, names)))
+    assert ends[-1] == up_to[1] and default[1] not in ends
+    # the refuted formula's search stops charging at its hit
+    assert default[0][0][1] < up_to[1]
+    for width in (1, 1 << 40):
+        monkeypatch.setattr(frames, "_PACK", width)
+        assert (three_atom_results(frame_class, refuted), stop(middle)) == default, width
+
+
 def test_fast_path_disagreement_raises(monkeypatch):
     # an evaluator that reports every formula false at every node must be
     # caught by the naive re-check, not returned as a countermodel
     monkeypatch.setattr(frames.CompiledFormulas, "run",
-                        lambda self, blocks, frame, length: [0] * len(self.roots))
+                        lambda self, batch: [0] * len(self.roots))
     valid = parse_modal("p -> p")
     with pytest.raises(AssertionError, match="re-verification"):
         find_countermodel(valid, K4_FRAME, 2)
