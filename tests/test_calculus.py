@@ -1,5 +1,9 @@
+import hashlib
+
 from provlab.calculus import Derivation, Logic, check_derivation, diagnose_derivation
+from provlab.corpus import DEFAULT_PARAMS, generate_corpus
 from provlab.formulas import Atom, BOT, And, Box, Imp, Neg, Or, Sequent
+from provlab.prover import Provable, prove
 
 p, q = Atom("p"), Atom("q")
 
@@ -124,3 +128,39 @@ def test_diagnostic_paths():
     bad = node([p], [p], "AndL", leaf([p], [p], "Axiom-Id"))
     msg = diagnose_derivation(Logic.K4, bad)
     assert msg is not None and "AndL" in msg
+
+
+# The rule names in a fixed order; a renamed node takes the next one, cyclically.
+RENAME_ORDER = ("Axiom-Id", "Axiom-Bot", "wL", "wR", "cL", "cR", "cut", "OrL", "OrR", "AndL",
+                "AndR", "ImpL", "ImpR", "NegL", "NegR", "Box4R", "BoxDR", "BoxSR", "BoxL", "GLR")
+# sha256 over every diagnose_derivation result of test_diagnostics_are_pinned
+DIAGNOSTICS_DIGEST = "8b2d4d82e52a85e653d73275d2e5c2f65577b452d5c87c0ca76b7c0a2839b64a"
+
+
+def _nodes(d):
+    stack = [d]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(n.premises))
+
+
+def test_diagnostics_are_pinned():
+    # every node of the Provable derivations of the first 150 default-corpus
+    # formulas, broken three ways: each variant's diagnostic (or None) is pinned
+    h = hashlib.sha256()
+    for f in generate_corpus(DEFAULT_PARAMS).formulas[:150]:
+        for logic in (Logic.K4, Logic.KD4, Logic.S4, Logic.GL):
+            res = prove(logic, Sequent((), (f,)))
+            if not isinstance(res, Provable):
+                continue
+            for n in _nodes(res.derivation):
+                ante, succ = n.sequent.ante, n.sequent.succ
+                renamed = RENAME_ORDER[(RENAME_ORDER.index(n.rule) + 1) % len(RENAME_ORDER)]
+                for variant in (
+                    Derivation(Sequent(ante[:-1], succ), n.rule, n.premises),
+                    Derivation(Sequent(ante, succ[:1] + succ), n.rule, n.premises),
+                    Derivation(n.sequent, renamed, n.premises),
+                ):
+                    h.update(repr(diagnose_derivation(logic, variant)).encode() + b"\n")
+    assert h.hexdigest() == DIAGNOSTICS_DIGEST
