@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Alternated A/B runs of the benchmark: a base revision against the working tree.
+
+Usage: python3 scripts/ab_pairs.py BASE_REV [--workload W] [--pairs N] [--seconds S] [--seed K]
+
+BASE_REV is exported with `git archive` into a temporary directory, so the
+repository's worktrees, refs and index are left as they are.  Each pair runs
+`perfbench/run.py --trace 0` once on that copy and once on the working tree,
+one process at a time; the side that runs first alternates from pair to pair.
+The last line of each run's output is its JSON result.
+
+For every end-to-end metric in BENCHMARK.json the script prints each side's
+median and quartiles, the ratio of the medians, the pairs the working tree
+won (ties count for neither) and whether the medians differ by more than the
+base's interquartile range.  It exits nonzero if any run fails or reports an
+incorrect verdict.
+"""
+
+import argparse
+import io
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def export(rev: str, dest: pathlib.Path) -> None:
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+        t.extractall(dest, filter="data")
+
+
+def run_once(tree: pathlib.Path, args) -> dict | None:
+    """The JSON result of one benchmark run in tree, or None if the run failed."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    try:
+        out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                             timeout=20 * args.seconds + 600)
+    except subprocess.TimeoutExpired:
+        sys.stderr.write(f"timed out: {' '.join(cmd)}\n")
+        return None
+    lines = out.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if out.returncode != 0 or result is None or not result.get("correct"):
+        sys.stderr.write(f"run failed (exit {out.returncode}) in {tree}\n{out.stderr[-2000:]}")
+        return None
+    return result
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("base_rev")
+    p.add_argument("--workload", default="modal-evidence")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=25.0)
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args()
+    if args.pairs < 1 or args.seconds <= 0:
+        p.error("--pairs and --seconds must be positive")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    runs = {"base": [], "tree": []}
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
+        base = pathlib.Path(tmp)
+        export(args.base_rev, base)
+        trees = {"base": base, "tree": ROOT}
+        for i in range(args.pairs):
+            order = ("base", "tree") if i % 2 == 0 else ("tree", "base")
+            for side in order:
+                result = run_once(trees[side], args)
+                ok &= result is not None
+                runs[side].append(result)
+                value = result["metrics"]["items_per_s"]["value"] if result else "failed"
+                sys.stderr.write(f"pair {i + 1}/{args.pairs} {side}: items_per_s {value}\n")
+
+    pairs = [(b, t) for b, t in zip(runs["base"], runs["tree"]) if b and t]
+    print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s runs, {len(pairs)} of {args.pairs} pairs "
+          f"complete: base {args.base_rev} against the working tree")
+    for m in metrics if pairs else ():
+        name, higher = m["name"], m["better"] == "higher"
+        b = [r["metrics"][name]["value"] for r, _ in pairs]
+        t = [r["metrics"][name]["value"] for _, r in pairs]
+        (b1, bm, b3), (t1, tm, t3) = quartiles(b), quartiles(t)
+        won = sum((y > x) if higher else (y < x) for x, y in zip(b, t))
+        ratio = f"{tm / bm:.3f}" if bm else "-"
+        print(f"  {name:15} base {bm:.4g} [{b1:.4g}, {b3:.4g}]  tree {tm:.4g} [{t1:.4g}, {t3:.4g}]  "
+              f"ratio {ratio}  won {won}/{len(pairs)}  beyond base IQR: {abs(tm - bm) > b3 - b1}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

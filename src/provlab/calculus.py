@@ -5,6 +5,10 @@ checker matches rule instances up to reordering: contexts are compared as
 multisets while main formulas must occur literally.  Exchange is therefore
 admissible rather than a rule; weakening and contraction stay explicit.
 
+A multiset is a plain dict from formula to count that never holds a zero
+count, so multisets are equal exactly when their dicts are.  The checker
+walks the tree with an explicit stack, so any depth checks without recursion.
+
 Per logic, the admitted rules are the axioms, structural rules (including
 cut, which the prover never emits) and propositional rules, plus:
   K4:  Box4R            KD4: Box4R, BoxDR
@@ -13,7 +17,6 @@ cut, which the prover never emits) and propositional rules, plus:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,50 +51,59 @@ class Derivation:
     premises: tuple["Derivation", ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "sequent": print_sequent(self.sequent),
-            "premises": [d.to_json() for d in self.premises],
-        }
+        memo: dict = {}  # one printer memo for the whole tree
+
+        def go(d: Derivation) -> dict:
+            return {"rule": d.rule, "sequent": print_sequent(d.sequent, memo), "premises": [go(p) for p in d.premises]}
+
+        return go(self)
 
     def node_count(self) -> int:
         return 1 + sum(d.node_count() for d in self.premises)
 
 
-def _counts(s: Sequent) -> tuple[Counter, Counter]:
-    return Counter(s.ante), Counter(s.succ)
-
-
-def _minus(c: Counter, f: Formula, n: int = 1) -> Counter:
-    out = Counter(c)
-    out[f] -= n
-    if out[f] <= 0:
-        del out[f]
+def _count(fs) -> dict:
+    out = {}
+    for f in fs:
+        out[f] = out.get(f, 0) + 1
     return out
 
 
-def _plus(c: Counter, f: Formula, n: int = 1) -> Counter:
-    out = Counter(c)
-    out[f] += n
+def _minus(c: dict, f: Formula) -> dict:
+    out = dict(c)
+    n = out.pop(f, 0) - 1
+    if n > 0:
+        out[f] = n
     return out
 
 
-def _boxed_split(c: Counter) -> tuple[Counter, Counter] | None:
-    """(boxes, their unboxings) if every formula in c is boxed, else None."""
-    boxes = Counter()
-    inner = Counter()
+def _plus(c: dict, f: Formula) -> dict:
+    out = dict(c)
+    out[f] = out.get(f, 0) + 1
+    return out
+
+
+def _sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for f, n in b.items():
+        out[f] = out.get(f, 0) + n
+    return out
+
+
+def _unboxed(c: dict) -> dict | None:
+    """The unboxings of c if every formula in c is boxed, else None."""
+    inner = {}
     for f, n in c.items():
         if not isinstance(f, Box):
             return None
-        boxes[f] += n
-        inner[f.sub] += n
-    return boxes, inner
+        inner[f.sub] = inner.get(f.sub, 0) + n
+    return inner
 
 
 def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | None:
     """None if (concl, prems) is a correct instance of rule, else a reason."""
-    ca, cs = _counts(concl)
-    pas = [_counts(p) for p in prems]
+    ca, cs = _count(concl.ante), _count(concl.succ)
+    pas = [(_count(p.ante), _count(p.succ)) for p in prems]
 
     def arity(n: int) -> str | None:
         if len(prems) != n:
@@ -116,7 +128,7 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        for f in set(ca):
+        for f in ca:
             if pa == _minus(ca, f) and ps == cs:
                 return None
         return "wL premise must drop one antecedent formula"
@@ -125,7 +137,7 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        for f in set(cs):
+        for f in cs:
             if ps == _minus(cs, f) and pa == ca:
                 return None
         return "wR premise must drop one succedent formula"
@@ -134,7 +146,7 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        for f in set(ca):
+        for f in ca:
             if pa == _plus(ca, f) and ps == cs:
                 return None
         return "cL premise must duplicate one antecedent formula"
@@ -143,7 +155,7 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        for f in set(cs):
+        for f in cs:
             if ps == _plus(cs, f) and pa == ca:
                 return None
         return "cR premise must duplicate one succedent formula"
@@ -152,9 +164,9 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(2):
             return err
         (p1a, p1s), (p2a, p2s) = pas
-        for f in set(p1s):
+        for f in p1s:
             if p2a.get(f, 0) >= 1:
-                if ca == p1a + _minus(p2a, f) and cs == _minus(p1s, f) + p2s:
+                if ca == _sum(p1a, _minus(p2a, f)) and cs == _sum(_minus(p1s, f), p2s):
                     return None
         return "cut formula not found"
 
@@ -162,7 +174,7 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        for f in set(ca):
+        for f in ca:
             if isinstance(f, And) and ps == cs:
                 rest = _minus(ca, f)
                 if pa in (_plus(rest, f.left), _plus(rest, f.right)):
@@ -173,7 +185,7 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        for f in set(cs):
+        for f in cs:
             if isinstance(f, Or) and pa == ca:
                 rest = _minus(cs, f)
                 if ps in (_plus(rest, f.left), _plus(rest, f.right)):
@@ -184,11 +196,11 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(2):
             return err
         (p1a, p1s), (p2a, p2s) = pas
-        for f in set(cs):
+        for f in cs:
             if isinstance(f, And):
                 if p1s.get(f.left, 0) < 1 or p2s.get(f.right, 0) < 1:
                     continue
-                if ca == p1a + p2a and _minus(cs, f) == _minus(p1s, f.left) + _minus(p2s, f.right):
+                if ca == _sum(p1a, p2a) and _minus(cs, f) == _sum(_minus(p1s, f.left), _minus(p2s, f.right)):
                     return None
         return "AndR instance does not match"
 
@@ -196,11 +208,11 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(2):
             return err
         (p1a, p1s), (p2a, p2s) = pas
-        for f in set(ca):
+        for f in ca:
             if isinstance(f, Or):
                 if p1a.get(f.left, 0) < 1 or p2a.get(f.right, 0) < 1:
                     continue
-                if _minus(ca, f) == _minus(p1a, f.left) + _minus(p2a, f.right) and cs == p1s + p2s:
+                if _minus(ca, f) == _sum(_minus(p1a, f.left), _minus(p2a, f.right)) and cs == _sum(p1s, p2s):
                     return None
         return "OrL instance does not match"
 
@@ -208,11 +220,11 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(2):
             return err
         (p1a, p1s), (p2a, p2s) = pas
-        for f in set(ca):
+        for f in ca:
             if isinstance(f, Imp):
                 if p1s.get(f.left, 0) < 1 or p2a.get(f.right, 0) < 1:
                     continue
-                if _minus(ca, f) == p1a + _minus(p2a, f.right) and cs == _minus(p1s, f.left) + p2s:
+                if _minus(ca, f) == _sum(p1a, _minus(p2a, f.right)) and cs == _sum(_minus(p1s, f.left), p2s):
                     return None
         return "ImpL instance does not match"
 
@@ -220,7 +232,7 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        for f in set(cs):
+        for f in cs:
             if isinstance(f, Imp):
                 if pa == _plus(ca, f.left) and ps == _plus(_minus(cs, f), f.right):
                     return None
@@ -230,7 +242,7 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        for f in set(ca):
+        for f in ca:
             if isinstance(f, Neg):
                 if pa == _minus(ca, f) and ps == _plus(cs, f.sub):
                     return None
@@ -240,7 +252,7 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        for f in set(cs):
+        for f in cs:
             if isinstance(f, Neg):
                 if ps == _minus(cs, f) and pa == _plus(ca, f.sub):
                     return None
@@ -250,21 +262,20 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        split = _boxed_split(ca)
-        if split is None:
+        inner = _unboxed(ca)
+        if inner is None:
             return f"{rule} conclusion antecedent must be all boxed"
-        boxes, inner = split
         if len(concl.succ) != 1 or not isinstance(concl.succ[0], Box):
             return f"{rule} conclusion succedent must be a single boxed formula"
         box_a = concl.succ[0]
-        if ps != Counter({box_a.sub: 1}):
+        if ps != {box_a.sub: 1}:
             return f"{rule} premise succedent must be the unboxed formula"
         if rule == "Box4R":
-            want = boxes + inner
+            want = _sum(ca, inner)
         elif rule == "BoxSR":
-            want = boxes
+            want = ca
         else:  # GLR carries the diagonal formula on the left
-            want = _plus(boxes + inner, box_a)
+            want = _plus(_sum(ca, inner), box_a)
         if pa == want:
             return None
         return f"{rule} premise antecedent does not match"
@@ -273,13 +284,12 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        split = _boxed_split(ca)
-        if split is None:
+        inner = _unboxed(ca)
+        if inner is None:
             return "BoxDR conclusion antecedent must be all boxed"
-        boxes, inner = split
         if concl.succ != () or ps:
             return "BoxDR needs empty succedents"
-        if pa == boxes + inner:
+        if pa == _sum(ca, inner):
             return None
         return "BoxDR premise antecedent does not match"
 
@@ -287,7 +297,7 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
         if err := arity(1):
             return err
         pa, ps = pas[0]
-        for f in set(ca):
+        for f in ca:
             if isinstance(f, Box):
                 if pa == _plus(_minus(ca, f), f.sub) and ps == cs:
                     return None
@@ -297,20 +307,30 @@ def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | 
 
 
 def diagnose_derivation(logic: Logic, d: Derivation, path: tuple[int, ...] = ()) -> str | None:
-    """None if d is a correct G(logic) derivation, else a diagnostic naming the bad node."""
+    """None if d is a correct G(logic) derivation, else a diagnostic naming its first bad node in pre-order."""
     if logic == Logic.GLS:
         raise ValueError("GLS has no sequent calculus; check the reduced GL derivation")
     allowed = RULES_BY_LOGIC[logic]
-    if d.rule not in allowed:
-        return f"rule {d.rule} is not part of G({logic.value}) (at {list(path)})"
-    err = _rule_error(d.rule, d.sequent, tuple(p.sequent for p in d.premises))
-    if err is not None:
-        return f"{err} (at {list(path)}: {print_sequent(d.sequent)})"
-    for i, prem in enumerate(d.premises):
-        sub = diagnose_derivation(logic, prem, path + (i,))
-        if sub is not None:
-            return sub
+    # a node's trail is (premise index, parent's trail): the path is built only on failure
+    stack = [(d, None)]
+    while stack:
+        d, trail = stack.pop()
+        if d.rule not in allowed:
+            return f"rule {d.rule} is not part of G({logic.value}) (at {_path(path, trail)})"
+        err = _rule_error(d.rule, d.sequent, tuple(p.sequent for p in d.premises))
+        if err is not None:
+            return f"{err} (at {_path(path, trail)}: {print_sequent(d.sequent)})"
+        for i in range(len(d.premises) - 1, -1, -1):
+            stack.append((d.premises[i], (i, trail)))
     return None
+
+
+def _path(prefix: tuple[int, ...], trail) -> list[int]:
+    out = []
+    while trail is not None:
+        i, trail = trail
+        out.append(i)
+    return list(prefix) + out[::-1]
 
 
 def check_derivation(logic: Logic, d: Derivation) -> bool:

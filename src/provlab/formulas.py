@@ -313,51 +313,52 @@ def parse_prop(text: str) -> Formula:
 
 
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4, 5
+_PREC = {Atom: _PREC_ATOM, Bot: _PREC_ATOM, Top: _PREC_ATOM, Neg: _PREC_UNARY, Box: _PREC_UNARY,
+         And: _PREC_AND, Or: _PREC_OR, Imp: _PREC_IMP}
 
 
-def _prec(f: Formula) -> int:
-    match f:
-        case Atom() | Bot() | Top():
-            return _PREC_ATOM
-        case Neg() | Box():
-            return _PREC_UNARY
-        case And():
-            return _PREC_AND
-        case Or():
-            return _PREC_OR
-        case Imp():
-            return _PREC_IMP
-    raise TypeError(f"not a formula: {f!r}")
+def print_formula(f: Formula, memo: dict | None = None) -> str:
+    """Minimal-parentheses ASCII rendering; round-trips through parse_modal.
 
-
-def print_formula(f: Formula) -> str:
-    """Minimal-parentheses ASCII rendering; round-trips through parse_modal."""
+    With a memo, a subformula found in it is not printed again, and every
+    subformula printed is entered with its rendering (as print_formula gives
+    it, without outer parentheses).  A memo may be shared by many calls.
+    """
 
     def go(g: Formula, min_prec: int) -> str:
-        match g:
-            case Atom(name):
-                s = name
-            case Bot():
-                s = "bot"
-            case Top():
-                s = "top"
-            case Neg(sub):
-                s = "~" + go(sub, _PREC_UNARY)
-            case Box(sub):
-                s = "[]" + go(sub, _PREC_UNARY)
-            case And(l, r):
-                s = go(l, _PREC_AND) + " /\\ " + go(r, _PREC_AND + 1)
-            case Or(l, r):
-                s = go(l, _PREC_OR) + " \\/ " + go(r, _PREC_OR + 1)
-            case Imp(l, r):
-                s = go(l, _PREC_IMP + 1) + " -> " + go(r, _PREC_IMP)
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-        if _prec(g) < min_prec:
-            return "(" + s + ")"
-        return s
+        # class tests instead of match patterns: this runs once per node
+        cls = g.__class__
+        if cls is Atom:
+            s = g.name
+        elif cls is Imp:
+            s = sub(g.left, _PREC_IMP + 1) + " -> " + sub(g.right, _PREC_IMP)
+        elif cls is Neg:
+            s = "~" + sub(g.sub, _PREC_UNARY)
+        elif cls is Box:
+            s = "[]" + sub(g.sub, _PREC_UNARY)
+        elif cls is And:
+            s = sub(g.left, _PREC_AND) + " /\\ " + sub(g.right, _PREC_AND + 1)
+        elif cls is Or:
+            s = sub(g.left, _PREC_OR) + " \\/ " + sub(g.right, _PREC_OR + 1)
+        elif cls is Bot:
+            s = "bot"
+        elif cls is Top:
+            s = "top"
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        return "(" + s + ")" if _PREC[cls] < min_prec else s
 
-    return go(f, 0)
+    if memo is None:
+        sub = go
+    else:
+
+        def sub(g: Formula, min_prec: int) -> str:
+            s = memo.get(g)
+            if s is None:
+                s = memo[g] = go(g, 0)
+            return "(" + s + ")" if _PREC[g.__class__] < min_prec else s
+
+    return sub(f, 0)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -472,7 +473,8 @@ class Sequent:
         return Imp(conj(self.ante), disj(self.succ))
 
 
-def print_sequent(s: Sequent) -> str:
-    left = ", ".join(print_formula(f) for f in s.ante)
-    right = ", ".join(print_formula(f) for f in s.succ)
+def print_sequent(s: Sequent, memo: dict | None = None) -> str:
+    """The sequent as `A, B => C`; memo as in print_formula."""
+    left = ", ".join(print_formula(f, memo) for f in s.ante)
+    right = ", ".join(print_formula(f, memo) for f in s.succ)
     return f"{left} => {right}"

@@ -94,17 +94,18 @@ def normalize_top(f: Formula) -> Formula:
 
     Returns f itself when it has no top below it.
     """
-    match f:
-        case Top():
-            return _NOT_BOT
-        case Neg(sub) | Box(sub):
-            s = normalize_top(sub)
-            return f if s is sub else f.__class__(s)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            nl, nr = normalize_top(l), normalize_top(r)
-            return f if nl is l and nr is r else f.__class__(nl, nr)
-        case _:
-            return f
+    # class tests instead of match patterns, as in formulas.children: every search walks its goal here
+    cls = f.__class__
+    if cls is Top:
+        return _NOT_BOT
+    if cls is Neg or cls is Box:
+        s = normalize_top(f.sub)
+        return f if s is f.sub else cls(s)
+    if cls is And or cls is Or or cls is Imp:
+        l, r = f.left, f.right
+        nl, nr = normalize_top(l), normalize_top(r)
+        return f if nl is l and nr is r else cls(nl, nr)
+    return f
 
 
 @dataclass
@@ -116,21 +117,21 @@ class _Macro:
     subs: tuple["_Macro", ...] = ()
 
 
+class _SortKeys(dict):
+    """Sort keys of search, replay and box branches: print_formula, each subformula
+    printed once per search (a missing formula is printed with this dict as memo)."""
+
+    def __missing__(self, f: Formula) -> str:
+        return print_formula(f, self)
+
+
 @dataclass
 class _SearchState:
     logic: Logic
     budget: Budget
-    skeys: dict[Formula, str] = field(default_factory=dict)
+    skeys: _SortKeys = field(default_factory=_SortKeys)
     memo_true: dict = field(default_factory=dict)
     memo_false: set = field(default_factory=set)
-
-
-def _skey(st: _SearchState, f: Formula) -> str:
-    s = st.skeys.get(f)
-    if s is None:
-        s = print_formula(f)
-        st.skeys[f] = s
-    return s
 
 
 def _copy(c: Counter, _new=Counter.__new__) -> Counter:
@@ -167,11 +168,7 @@ def _capped(c: Counter) -> Counter:
 
 
 def _pick(st: _SearchState, candidates) -> Formula | None:
-    best = None
-    for f in candidates:
-        if best is None or _skey(st, f) < _skey(st, best):
-            best = f
-    return best
+    return min(candidates, key=st.skeys.__getitem__, default=None)
 
 
 def _boxed_parts(ante: Counter) -> tuple[Counter, Counter]:
@@ -312,7 +309,7 @@ def _decide(
     boxes, inner = _boxed_parts(ante)
     branches = [
         (box_rule.kind, bf, Counter({bf.sub: 1}))
-        for bf in sorted({g for g in succ if isinstance(g, Box)}, key=lambda g: _skey(st, g))
+        for bf in sorted({g for g in succ if isinstance(g, Box)}, key=st.skeys.__getitem__)
     ]
     if st.logic == Logic.KD4 and boxes:
         branches.append(("boxDR", None, Counter()))
@@ -331,36 +328,37 @@ def _decide(
 
 def _seq_of(st: _SearchState, ante: Counter, succ: Counter) -> Sequent:
     left = []
-    for f in sorted(ante, key=lambda g: _skey(st, g)):
+    for f in sorted(ante, key=st.skeys.__getitem__):
         left.extend([f] * ante[f])
     right = []
-    for f in sorted(succ, key=lambda g: _skey(st, g)):
+    for f in sorted(succ, key=st.skeys.__getitem__):
         right.extend([f] * succ[f])
     return Sequent(tuple(left), tuple(right))
 
 
-def _weaken_up(st: _SearchState, d: Derivation, ante: Counter, succ: Counter) -> Derivation:
-    cur_a = Counter(d.sequent.ante)
-    cur_s = Counter(d.sequent.succ)
-    for f in sorted(ante, key=lambda g: _skey(st, g)):
+# d concludes has_a => has_s: its caller holds those counts, so d's sequent is not counted again
+def _weaken_up(st: _SearchState, d: Derivation, has_a: Counter, has_s: Counter,
+               ante: Counter, succ: Counter) -> Derivation:
+    cur_a, cur_s = _copy(has_a), _copy(has_s)
+    for f in sorted(ante, key=st.skeys.__getitem__):
         while cur_a[f] < ante[f]:
             cur_a[f] += 1
             d = Derivation(_seq_of(st, cur_a, cur_s), "wL", (d,))
-    for f in sorted(succ, key=lambda g: _skey(st, g)):
+    for f in sorted(succ, key=st.skeys.__getitem__):
         while cur_s[f] < succ[f]:
             cur_s[f] += 1
             d = Derivation(_seq_of(st, cur_a, cur_s), "wR", (d,))
     return d
 
 
-def _contract_down(st: _SearchState, d: Derivation, ante: Counter, succ: Counter) -> Derivation:
-    cur_a = Counter(d.sequent.ante)
-    cur_s = Counter(d.sequent.succ)
-    for f in sorted(cur_a, key=lambda g: _skey(st, g)):
+def _contract_down(st: _SearchState, d: Derivation, has_a: Counter, has_s: Counter,
+                   ante: Counter, succ: Counter) -> Derivation:
+    cur_a, cur_s = _copy(has_a), _copy(has_s)
+    for f in sorted(cur_a, key=st.skeys.__getitem__):
         while cur_a[f] > ante[f]:
             cur_a[f] -= 1
             d = Derivation(_seq_of(st, cur_a, cur_s), "cL", (d,))
-    for f in sorted(cur_s, key=lambda g: _skey(st, g)):
+    for f in sorted(cur_s, key=st.skeys.__getitem__):
         while cur_s[f] > succ[f]:
             cur_s[f] -= 1
             d = Derivation(_seq_of(st, cur_a, cur_s), "cR", (d,))
@@ -374,14 +372,15 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
     def sub_at(i: int, want: tuple[Counter, Counter]) -> Derivation:
         # search premises are duplicate-capped; pad back up to the exact rule premise
         want_a, want_s = want
-        return _weaken_up(st, _expand(st, m.subs[i]), want_a, want_s)
+        sub = m.subs[i]
+        return _weaken_up(st, _expand(st, sub), sub.ante, sub.succ, want_a, want_s)
 
     if m.kind == "close-bot":
         leaf = Derivation(Sequent((BOT,), ()), "Axiom-Bot")
-        return _weaken_up(st, leaf, ante, succ)
+        return _weaken_up(st, leaf, Counter({BOT: 1}), Counter(), ante, succ)
     if m.kind == "close-id":
         leaf = Derivation(Sequent((f,), (f,)), "Axiom-Id")
-        return _weaken_up(st, leaf, ante, succ)
+        return _weaken_up(st, leaf, Counter({f: 1}), Counter({f: 1}), ante, succ)
 
     rule = _RULE_OF_KIND.get(m.kind)
     if rule is not None:
@@ -397,18 +396,21 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
         elif rule.conn is not Box:  # NegL, NegR and ImpR conclude on the goal itself
             return Derivation(_seq_of(st, ante, succ), rule.primitive, ds)
         # the other rules conclude on more than the goal (BoxL keeps its box): contract
-        d = Derivation(_seq_of(st, *_sides(rule, _plus(rest, f), other)), rule.primitive, ds)
-        return _contract_down(st, d, ante, succ)
+        has_a, has_s = _sides(rule, _plus(rest, f), other)
+        d = Derivation(_seq_of(st, has_a, has_s), rule.primitive, ds)
+        return _contract_down(st, d, has_a, has_s, ante, succ)
 
     boxes, inner = _boxed_parts(ante)
     box_rule = _BOX_RULE[st.logic]
     if m.kind == "boxDR":
         d = sub_at(0, (box_rule.ante(_plus, boxes, inner, None), Counter()))
-        d = Derivation(_seq_of(st, boxes, Counter()), "BoxDR", (d,))
+        has_s = Counter()
+        d = Derivation(_seq_of(st, boxes, has_s), "BoxDR", (d,))
     else:
         d = sub_at(0, (box_rule.ante(_plus, boxes, inner, f), Counter({f.sub: 1})))
-        d = Derivation(_seq_of(st, boxes, Counter({f: 1})), box_rule.primitive, (d,))
-    return _weaken_up(st, d, ante, succ)
+        has_s = Counter({f: 1})
+        d = Derivation(_seq_of(st, boxes, has_s), box_rule.primitive, (d,))
+    return _weaken_up(st, d, boxes, has_s, ante, succ)
 
 
 def gls_reduce(a: Formula) -> Formula:
@@ -462,7 +464,7 @@ def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult
     reduction = searched.succ[0] if logic == Logic.GLS else None
     if proof is not None:
         d = _expand(st, proof)
-        d = _weaken_up(st, d, Counter(norm.ante), Counter(norm.succ))
+        d = _weaken_up(st, d, proof.ante, proof.succ, Counter(norm.ante), Counter(norm.succ))
         return Provable(logic, s, Derivation(norm, d.rule, d.premises), reduction)
 
     goal = searched.formula()

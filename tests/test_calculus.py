@@ -130,6 +130,22 @@ def test_diagnostic_paths():
     assert msg is not None and "AndL" in msg
 
 
+def _chain(bad_depth=None):
+    # 5000 nodes above the leaf p => p: wL to p, p => p, then cL back to p => p;
+    # the node at bad_depth (a wL node when odd) is renamed to wR
+    d = leaf([p], [p], "Axiom-Id")
+    for depth in range(4999, -1, -1):
+        rule, ante = ("wL", [p, p]) if depth % 2 else ("cL", [p])
+        d = node(ante, [p], "wR" if depth == bad_depth else rule, d)
+    return d
+
+
+def test_deep_derivations_check_without_recursion():
+    assert check_derivation(Logic.K4, _chain())
+    msg = diagnose_derivation(Logic.K4, _chain(bad_depth=4001))
+    assert msg == f"wR premise must drop one succedent formula (at {[0] * 4001}: p, p => p)"
+
+
 # The rule names in a fixed order; a renamed node takes the next one, cyclically.
 RENAME_ORDER = ("Axiom-Id", "Axiom-Bot", "wL", "wR", "cL", "cR", "cut", "OrL", "OrR", "AndL",
                 "AndR", "ImpL", "ImpR", "NegL", "NegR", "Box4R", "BoxDR", "BoxSR", "BoxL", "GLR")
