@@ -69,6 +69,10 @@ def _count(fs) -> dict:
     return out
 
 
+def _counts(d: Derivation) -> tuple[dict, dict]:
+    return _count(d.sequent.ante), _count(d.sequent.succ)
+
+
 def _minus(c: dict, f: Formula) -> dict:
     out = dict(c)
     n = out.pop(f, 0) - 1
@@ -100,14 +104,13 @@ def _unboxed(c: dict) -> dict | None:
     return inner
 
 
-def _rule_error(rule: str, concl: Sequent, prems: tuple[Sequent, ...]) -> str | None:
-    """None if (concl, prems) is a correct instance of rule, else a reason."""
-    ca, cs = _count(concl.ante), _count(concl.succ)
-    pas = [(_count(p.ante), _count(p.succ)) for p in prems]
+def _rule_error(rule: str, concl: Sequent, counts: tuple[dict, dict], pas: list[tuple[dict, dict]]) -> str | None:
+    """None if concl (as the multisets counts) over premises pas is an instance of rule, else a reason."""
+    ca, cs = counts
 
     def arity(n: int) -> str | None:
-        if len(prems) != n:
-            return f"{rule} expects {n} premise(s), got {len(prems)}"
+        if len(pas) != n:
+            return f"{rule} expects {n} premise(s), got {len(pas)}"
         return None
 
     if rule == AXIOM_ID:
@@ -311,17 +314,19 @@ def diagnose_derivation(logic: Logic, d: Derivation, path: tuple[int, ...] = ())
     if logic == Logic.GLS:
         raise ValueError("GLS has no sequent calculus; check the reduced GL derivation")
     allowed = RULES_BY_LOGIC[logic]
-    # a node's trail is (premise index, parent's trail): the path is built only on failure
-    stack = [(d, None)]
+    # a node's trail is (premise index, parent's trail): the path is built only on failure;
+    # a premise's multisets, counted to check its parent, are kept for its own check
+    stack = [(d, _counts(d), None)]
     while stack:
-        d, trail = stack.pop()
+        d, counts, trail = stack.pop()
         if d.rule not in allowed:
             return f"rule {d.rule} is not part of G({logic.value}) (at {_path(path, trail)})"
-        err = _rule_error(d.rule, d.sequent, tuple(p.sequent for p in d.premises))
+        pas = [_counts(p) for p in d.premises]
+        err = _rule_error(d.rule, d.sequent, counts, pas)
         if err is not None:
             return f"{err} (at {_path(path, trail)}: {print_sequent(d.sequent)})"
-        for i in range(len(d.premises) - 1, -1, -1):
-            stack.append((d.premises[i], (i, trail)))
+        for i in range(len(pas) - 1, -1, -1):
+            stack.append((d.premises[i], pas[i], (i, trail)))
     return None
 
 
