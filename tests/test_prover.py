@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from provlab.budget import Budget
 from provlab.calculus import Logic, check_derivation
+from provlab.corpus import BOX_FREE_PARAMS, DEFAULT_PARAMS, generate_corpus
 from provlab.formulas import (
     Atom,
     BOT,
@@ -271,6 +272,31 @@ def test_replay_pins_cover_every_primitive_rule():
         "AndL", "AndR", "OrL", "OrR", "ImpL", "ImpR", "NegL", "NegR",
         "BoxL", "Box4R", "BoxDR", "BoxSR", "GLR",
     }
+
+
+# One sha256 over (logic, result type, budget.steps_used, derivation JSON) of
+# prove on the first 500 default-corpus formulas in every modal logic, then
+# (verdict, budget.steps_used) of search_provable on the box-free corpus.  It
+# pins the search's choice of rule and principal formula at every step far
+# beyond REPLAY_PINS: any change of choice moves a step count or a derivation.
+CORPUS_SEARCH_DIGEST = "f6716055bdd133a494499f8314b622766070afff1ba147b2d3efe42afc2e4477"
+
+
+def test_corpus_searches_are_pinned():
+    h = hashlib.sha256()
+    default = generate_corpus(DEFAULT_PARAMS).formulas[:500]
+    for logic in (Logic.K4, Logic.KD4, Logic.S4, Logic.GL, Logic.GLS):
+        for f in default:
+            budget = Budget()
+            res = prove(logic, Sequent((), (f,)), budget)
+            body = json.dumps(res.derivation.to_json(), sort_keys=True) if isinstance(res, Provable) else ""
+            h.update(f"{logic.name} {type(res).__name__} {budget.steps_used} {body}\n".encode())
+    for logic in (Logic.K4, Logic.S4, Logic.GL):
+        for f in generate_corpus(BOX_FREE_PARAMS).formulas:
+            budget = Budget()
+            verdict = search_provable(logic, Sequent((), (f,)), budget)
+            h.update(f"{logic.name} {verdict} {budget.steps_used}\n".encode())
+    assert h.hexdigest() == CORPUS_SEARCH_DIGEST
 
 
 def test_exhausted_reason_names_the_largest_bound_searched():
