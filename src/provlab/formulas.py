@@ -6,9 +6,9 @@ with -> right-associative and /\\, \\/ left-associative.
 
 Formula nodes are frozen, slotted dataclasses that compute their hash once,
 when they are built, from the children's cached hashes.  The provers, the
-derivation checker and the evaluators key dicts, sets and Counters by
-formulas, and a recomputed hash walks the whole subtree on every lookup;
-the cached one is O(1).  It is built from str hashes, so it varies with
+derivation checker and the evaluators key dicts and sets by formulas, and
+a recomputed hash walks the whole subtree on every lookup; the cached one
+is O(1).  It is built from str hashes, so it varies with
 PYTHONHASHSEED, and pickling rebuilds a node through its constructor.
 """
 

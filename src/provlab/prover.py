@@ -9,15 +9,23 @@ cut-free derivation made of the primitive rules only, so every Provable
 verdict is independently checkable; NotProvable verdicts carry a bounded-
 enumeration countermodel that is re-verified before being returned.
 
+Multisets are plain dicts from formula to count that never hold a zero
+count, so two multisets are equal exactly when their dicts are, and the
+frozenset of a dict's items is its memo key.  The derivation checker in
+calculus.py uses the same representation with its own helpers; the prover
+keeps its own on purpose, so the checker stays independent of the code it
+checks.
+
 One table of invertible rules, and one right box rule per logic, drive both
 the search and the replay: each row builds its premises for the search
 (with duplicates capped) and again for the replay (exact), so the two cannot
-drift apart.
+drift apart.  The search picks its rule in one scan of each side of a
+sequent, through a map from connective to table row that is derived from
+the table, so the table alone fixes the order in which rules are tried.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -111,8 +119,8 @@ def normalize_top(f: Formula) -> Formula:
 @dataclass
 class _Macro:
     kind: str
-    ante: Counter
-    succ: Counter
+    ante: dict
+    succ: dict
     principal: Formula | None
     subs: tuple["_Macro", ...] = ()
 
@@ -134,50 +142,58 @@ class _SearchState:
     memo_false: set = field(default_factory=set)
 
 
-def _copy(c: Counter, _new=Counter.__new__) -> Counter:
-    # Counter(c) goes through Counter.update and an ABC Mapping check; an empty
-    # Counter filled by dict.update is the same Counter at a fraction of the cost
-    out = _new(Counter)
-    dict.update(out, c)
+# The multiset helpers never change their arguments (_cap_add at the cap
+# returns its argument itself), so a macro can keep the multisets it was given.
+
+
+def _count(fs) -> dict:
+    out = {}
+    for f in fs:
+        out[f] = out.get(f, 0) + 1
     return out
 
 
-def _cap_add(c: Counter, f: Formula) -> Counter:
-    out = _copy(c)
-    if out[f] < _CAP:
-        out[f] += 1
+def _cap_add(c: dict, f: Formula) -> dict:
+    n = c.get(f, 0)
+    if n >= _CAP:
+        return c
+    out = c.copy()
+    out[f] = n + 1
     return out
 
 
-def _drop(c: Counter, f: Formula) -> Counter:
-    out = _copy(c)
-    out[f] -= 1
-    if out[f] <= 0:
-        del out[f]
+def _drop(c: dict, f: Formula) -> dict:
+    out = c.copy()
+    n = out.pop(f) - 1
+    if n:
+        out[f] = n
     return out
 
 
-def _plus(c: Counter, f: Formula, n: int = 1) -> Counter:
-    out = _copy(c)
-    out[f] += n
+def _plus(c: dict, f: Formula, n: int = 1) -> dict:
+    out = c.copy()
+    out[f] = out.get(f, 0) + n
     return out
 
 
-def _capped(c: Counter) -> Counter:
-    return Counter({f: min(n, _CAP) for f, n in c.items()})
+def _sum(a: dict, b: dict) -> dict:
+    out = a.copy()
+    for f, n in b.items():
+        out[f] = out.get(f, 0) + n
+    return out
 
 
-def _pick(st: _SearchState, candidates) -> Formula | None:
-    return min(candidates, key=st.skeys.__getitem__, default=None)
+def _capped(c: dict) -> dict:
+    return {f: min(n, _CAP) for f, n in c.items()}
 
 
-def _boxed_parts(ante: Counter) -> tuple[Counter, Counter]:
-    boxes = Counter()
-    inner = Counter()
+def _boxed_parts(ante: dict) -> tuple[dict, dict]:
+    boxes = {}
+    inner = {}
     for f, n in ante.items():
-        if isinstance(f, Box):
-            boxes[f] += n
-            inner[f.sub] += n
+        if f.__class__ is Box:
+            boxes[f] = n
+            inner[f.sub] = inner.get(f.sub, 0) + n
     return boxes, inner
 
 
@@ -227,17 +243,24 @@ class _BoxRule:
 # The right box rule of each logic, for a leaf of atoms, bot and boxes.  Its
 # premise is (ante => principal.sub); KD4 may also close by BoxDR, whose
 # premise antecedent is KD4's own (it does not read the principal).
-_BOX4R = _BoxRule("box4R", "Box4R", lambda add, boxes, inner, bf: boxes + inner)
+_BOX4R = _BoxRule("box4R", "Box4R", lambda add, boxes, inner, bf: _sum(boxes, inner))
 _BOX_RULE = {
     Logic.K4: _BOX4R,
     Logic.KD4: _BOX4R,
     Logic.S4: _BoxRule("boxSR", "BoxSR", lambda add, boxes, inner, bf: boxes),
-    Logic.GL: _BoxRule("GLR", "GLR", lambda add, boxes, inner, bf: add(boxes + inner, bf)),  # the diagonal formula
+    Logic.GL: _BoxRule("GLR", "GLR", lambda add, boxes, inner, bf: add(_sum(boxes, inner), bf)),  # the diagonal formula
 }
-_RULES_OF_LOGIC = {lg: tuple(r for r in _INVERTIBLE if r.conn is not Box or lg == Logic.S4) for lg in _BOX_RULE}
+# Per logic, (antecedent ranks, succedent ranks): each maps a connective to the
+# row of _INVERTIBLE whose principal formula it is, so one scan of a sequent
+# finds the first row that applies.  S4 alone unboxes.
+_RANKS = {
+    lg: tuple({r.conn: i for i, r in enumerate(_INVERTIBLE) if r.left is left and (r.conn is not Box or lg == Logic.S4)}
+              for left in (True, False))
+    for lg in _BOX_RULE
+}
 
 
-def _sides(rule: _Rule, ante: Counter, succ: Counter) -> tuple[Counter, Counter]:
+def _sides(rule: _Rule, ante: dict, succ: dict) -> tuple[dict, dict]:
     """(f's side, the other side) for rule's principal formula f; applied to
     (f's side, the other side) it gives back (ante, succ)."""
     return (ante, succ) if rule.left else (succ, ante)
@@ -245,8 +268,8 @@ def _sides(rule: _Rule, ante: Counter, succ: Counter) -> tuple[Counter, Counter]
 
 def _decide(
     st: _SearchState,
-    ante: Counter,
-    succ: Counter,
+    ante: dict,
+    succ: dict,
     history: frozenset,
     unboxed: frozenset,
 ) -> tuple[_Macro | None, bool]:
@@ -275,21 +298,40 @@ def _decide(
     # closure
     if BOT in ante:
         return done(_Macro("close-bot", ante, succ, BOT))
-    shared = _pick(st, (f for f in ante if f in succ))
-    if shared is not None:
-        return done(_Macro("close-id", ante, succ, shared))
 
-    # invertible decomposition: the first rule with a principal formula
-    for rule in _RULES_OF_LOGIC[st.logic]:
-        conn = rule.conn
-        if conn is Box:  # once per box and modal layer, and only while its unboxing is new
-            f = _pick(st, (g for g in ante if isinstance(g, Box) and g.sub not in ante and g not in unboxed))
-        else:
-            f = _pick(st, (g for g in (ante if rule.left else succ) if isinstance(g, conn)))
-        if f is None:
-            continue
+    # one scan of each side: the formulas shared for close-id, and the principal
+    # candidates of the first rule of _INVERTIBLE that has one (rank best)
+    ante_rank, succ_rank = _RANKS[st.logic]
+    best = len(_INVERTIBLE)
+    cands = []
+    shared = []
+    for g in ante:
+        if g in succ:
+            shared.append(g)
+        r = ante_rank.get(g.__class__)
+        # S4 unboxes a box once per modal layer, and only while its unboxing is new
+        if r is not None and r <= best and (g.__class__ is not Box or (g.sub not in ante and g not in unboxed)):
+            if r < best:
+                best, cands = r, [g]
+            else:
+                cands.append(g)
+    if shared:
+        f = shared[0] if len(shared) == 1 else min(shared, key=st.skeys.__getitem__)
+        return done(_Macro("close-id", ante, succ, f))
+    for g in succ:
+        r = succ_rank.get(g.__class__)
+        if r is not None and r <= best:
+            if r < best:
+                best, cands = r, [g]
+            else:
+                cands.append(g)
+
+    # invertible decomposition: the first rule with a principal formula, on the least one
+    if cands:
+        rule = _INVERTIBLE[best]
+        f = cands[0] if len(cands) == 1 else min(cands, key=st.skeys.__getitem__)
         side, other = _sides(rule, ante, succ)
-        rest, sub_unboxed = (side, unboxed | {f}) if conn is Box else (_drop(side, f), unboxed)
+        rest, sub_unboxed = (side, unboxed | {f}) if rule.conn is Box else (_drop(side, f), unboxed)
         subs = []
         for premise in rule.premises:  # a later premise is built only once the earlier ones hold
             # unpacked first: a starred call leaves the interpreter's fast path for
@@ -308,11 +350,11 @@ def _decide(
     box_rule = _BOX_RULE[st.logic]
     boxes, inner = _boxed_parts(ante)
     branches = [
-        (box_rule.kind, bf, Counter({bf.sub: 1}))
+        (box_rule.kind, bf, {bf.sub: 1})
         for bf in sorted({g for g in succ if isinstance(g, Box)}, key=st.skeys.__getitem__)
     ]
     if st.logic == Logic.KD4 and boxes:
-        branches.append(("boxDR", None, Counter()))
+        branches.append(("boxDR", None, {}))
     blocked_any = False
     for kind, bf, psucc in branches:
         pante = _capped(box_rule.ante(_cap_add, boxes, inner, bf))
@@ -326,7 +368,7 @@ def _decide(
 # -- replaying a successful search into a primitive-rule derivation ----------
 
 
-def _seq_of(st: _SearchState, ante: Counter, succ: Counter) -> Sequent:
+def _seq_of(st: _SearchState, ante: dict, succ: dict) -> Sequent:
     left = []
     for f in sorted(ante, key=st.skeys.__getitem__):
         left.extend([f] * ante[f])
@@ -337,30 +379,30 @@ def _seq_of(st: _SearchState, ante: Counter, succ: Counter) -> Sequent:
 
 
 # d concludes has_a => has_s: its caller holds those counts, so d's sequent is not counted again
-def _weaken_up(st: _SearchState, d: Derivation, has_a: Counter, has_s: Counter,
-               ante: Counter, succ: Counter) -> Derivation:
-    cur_a, cur_s = _copy(has_a), _copy(has_s)
+def _weaken_up(st: _SearchState, d: Derivation, has_a: dict, has_s: dict,
+               ante: dict, succ: dict) -> Derivation:
+    cur_a, cur_s = has_a, has_s
     for f in sorted(ante, key=st.skeys.__getitem__):
-        while cur_a[f] < ante[f]:
-            cur_a[f] += 1
+        while cur_a.get(f, 0) < ante[f]:
+            cur_a = _plus(cur_a, f)
             d = Derivation(_seq_of(st, cur_a, cur_s), "wL", (d,))
     for f in sorted(succ, key=st.skeys.__getitem__):
-        while cur_s[f] < succ[f]:
-            cur_s[f] += 1
+        while cur_s.get(f, 0) < succ[f]:
+            cur_s = _plus(cur_s, f)
             d = Derivation(_seq_of(st, cur_a, cur_s), "wR", (d,))
     return d
 
 
-def _contract_down(st: _SearchState, d: Derivation, has_a: Counter, has_s: Counter,
-                   ante: Counter, succ: Counter) -> Derivation:
-    cur_a, cur_s = _copy(has_a), _copy(has_s)
+def _contract_down(st: _SearchState, d: Derivation, has_a: dict, has_s: dict,
+                   ante: dict, succ: dict) -> Derivation:
+    cur_a, cur_s = has_a, has_s
     for f in sorted(cur_a, key=st.skeys.__getitem__):
-        while cur_a[f] > ante[f]:
-            cur_a[f] -= 1
+        while cur_a.get(f, 0) > ante.get(f, 0):
+            cur_a = _drop(cur_a, f)
             d = Derivation(_seq_of(st, cur_a, cur_s), "cL", (d,))
     for f in sorted(cur_s, key=st.skeys.__getitem__):
-        while cur_s[f] > succ[f]:
-            cur_s[f] -= 1
+        while cur_s.get(f, 0) > succ.get(f, 0):
+            cur_s = _drop(cur_s, f)
             d = Derivation(_seq_of(st, cur_a, cur_s), "cR", (d,))
     return d
 
@@ -369,7 +411,7 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
     """Turn one macro step into primitive rules, recursing on sub-proofs."""
     ante, succ, f = m.ante, m.succ, m.principal
 
-    def sub_at(i: int, want: tuple[Counter, Counter]) -> Derivation:
+    def sub_at(i: int, want: tuple[dict, dict]) -> Derivation:
         # search premises are duplicate-capped; pad back up to the exact rule premise
         want_a, want_s = want
         sub = m.subs[i]
@@ -377,10 +419,10 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
 
     if m.kind == "close-bot":
         leaf = Derivation(Sequent((BOT,), ()), "Axiom-Bot")
-        return _weaken_up(st, leaf, Counter({BOT: 1}), Counter(), ante, succ)
+        return _weaken_up(st, leaf, {BOT: 1}, {}, ante, succ)
     if m.kind == "close-id":
         leaf = Derivation(Sequent((f,), (f,)), "Axiom-Id")
-        return _weaken_up(st, leaf, Counter({f: 1}), Counter({f: 1}), ante, succ)
+        return _weaken_up(st, leaf, {f: 1}, {f: 1}, ante, succ)
 
     rule = _RULE_OF_KIND.get(m.kind)
     if rule is not None:
@@ -388,7 +430,7 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
         rest = side if rule.conn is Box else _drop(side, f)
         ds = tuple(sub_at(i, premise(_plus, f, rest, other)) for i, premise in enumerate(rule.premises))
         if len(ds) == 2:  # the two premises split the context: conclude on both copies
-            rest, other = rest + rest, other + other
+            rest, other = _sum(rest, rest), _sum(other, other)
         elif rule.conn in (And, Or):  # AndL and OrR take one immediate subformula at a time
             first = _sides(rule, _plus(_plus(rest, f.right), f), other)
             ds = (Derivation(_seq_of(st, *first), rule.primitive, ds),)
@@ -403,12 +445,12 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
     boxes, inner = _boxed_parts(ante)
     box_rule = _BOX_RULE[st.logic]
     if m.kind == "boxDR":
-        d = sub_at(0, (box_rule.ante(_plus, boxes, inner, None), Counter()))
-        has_s = Counter()
+        d = sub_at(0, (box_rule.ante(_plus, boxes, inner, None), {}))
+        has_s = {}
         d = Derivation(_seq_of(st, boxes, has_s), "BoxDR", (d,))
     else:
-        d = sub_at(0, (box_rule.ante(_plus, boxes, inner, f), Counter({f.sub: 1})))
-        has_s = Counter({f: 1})
+        d = sub_at(0, (box_rule.ante(_plus, boxes, inner, f), {f.sub: 1}))
+        has_s = {f: 1}
         d = Derivation(_seq_of(st, boxes, has_s), box_rule.primitive, (d,))
     return _weaken_up(st, d, boxes, has_s, ante, succ)
 
@@ -440,7 +482,7 @@ def _search(logic: Logic, s: Sequent, budget: Budget) -> tuple[_SearchState, Seq
         logic, s = Logic.GL, Sequent((), (gls_reduce(_sequent_goal(s)),))
     st = _SearchState(logic, budget)
     norm = _normalized(s)
-    proof, _ = _decide(st, _capped(Counter(norm.ante)), _capped(Counter(norm.succ)), frozenset(), frozenset())
+    proof, _ = _decide(st, _capped(_count(norm.ante)), _capped(_count(norm.succ)), frozenset(), frozenset())
     return st, s, norm, proof
 
 
@@ -464,7 +506,7 @@ def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult
     reduction = searched.succ[0] if logic == Logic.GLS else None
     if proof is not None:
         d = _expand(st, proof)
-        d = _weaken_up(st, d, proof.ante, proof.succ, Counter(norm.ante), Counter(norm.succ))
+        d = _weaken_up(st, d, proof.ante, proof.succ, _count(norm.ante), _count(norm.succ))
         return Provable(logic, s, Derivation(norm, d.rule, d.premises), reduction)
 
     goal = searched.formula()
