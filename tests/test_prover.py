@@ -2,9 +2,9 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from provlab.budget import Budget
+from provlab.budget import Budget, BudgetExhausted
 from provlab.calculus import Logic, check_derivation
 from provlab.corpus import BOX_FREE_PARAMS, DEFAULT_PARAMS, generate_corpus
 from provlab.formulas import (
@@ -22,6 +22,7 @@ from provlab.formulas import (
 )
 from provlab.frames import find_countermodel
 from provlab.kripke import check, validate_frame
+from provlab import prover
 from provlab.prover import (
     FRAME_OF_LOGIC,
     Exhausted,
@@ -179,19 +180,18 @@ def test_search_budget_exhaustion_reported():
     assert isinstance(res, Exhausted)
 
 
-def formulas(max_leaves=5):
-    leaves = st.sampled_from([p, q, BOT, TOP])
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(
-            st.builds(Neg, sub),
-            st.builds(Box, sub),
-            st.builds(And, sub, sub),
-            st.builds(Or, sub, sub),
-            st.builds(Imp, sub, sub),
-        ),
-        max_leaves=max_leaves,
+def compounds(sub):
+    return st.one_of(
+        st.builds(Neg, sub),
+        st.builds(Box, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Imp, sub, sub),
     )
+
+
+def formulas(max_leaves=5, leaves=(p, q, BOT, TOP)):
+    return st.recursive(st.sampled_from(leaves), compounds, max_leaves=max_leaves)
 
 
 @settings(max_examples=60, deadline=None)
@@ -319,3 +319,120 @@ def test_escalation_scans_each_size_once():
     assert isinstance(res, NotProvable) and len(res.model.nodes) == 2
     assert (res.model.to_json(), res.node) == (hit[0].to_json(), hit[1])
     assert budget.models_used == single.models_used
+
+
+def capped_sequents():
+    """(ante, succ) as capped multisets over p, q and bot: a few atoms and bots,
+    and a few formulas with a drawn main connective on a drawn side, so that
+    rules compete.  There is no top: the search normalizes it away first."""
+    count = st.integers(1, prover._CAP)
+
+    def place(atoms, placed):
+        ante, succ = atoms, {}
+        for f, left, n in placed:
+            (ante if left else succ)[f] = n
+        return ante, succ
+
+    main = compounds(formulas(2, (p, q, BOT)))
+    return st.builds(place, st.dictionaries(st.sampled_from([p, q, BOT]), count, max_size=2),
+                     st.lists(st.tuples(main, st.booleans(), count), min_size=1, max_size=4))
+
+
+def reference_pick(logic, ante, succ, unboxed):
+    """(kind, principal) of the first step, straight from the rule table in
+    its order: None past the invertible rules, at a modal leaf."""
+    if BOT in ante:
+        return "close-bot", BOT
+    shared = [f for f in ante if f in succ]
+    if shared:
+        return "close-id", min(shared, key=print_formula)
+    for rule in prover._INVERTIBLE:
+        if rule.conn is Box:
+            if logic != Logic.S4:
+                continue
+            cands = [g for g in ante if isinstance(g, Box) and g.sub not in ante and g not in unboxed]
+        else:
+            cands = [g for g in (ante if rule.left else succ) if isinstance(g, rule.conn)]
+        if cands:
+            return rule.kind, min(cands, key=print_formula)
+    return None
+
+
+def sides(ante, succ):
+    """Capped multisets of comma-separated formulas (no formula here has a comma)."""
+    return tuple({parse_modal(t): 1 for t in text.split(",") if t.strip()} for text in (ante, succ))
+
+
+@example(Logic.K4, sides("q, p, ~bot", "~bot, p, q"), frozenset())  # close-id on the least print key
+# one proof for each two adjacent rows of the rule table, each row with a candidate
+@example(Logic.K4, sides("~~bot", "~p"), frozenset())  # negL before negR
+@example(Logic.K4, sides("p /\\ q", "~bot"), frozenset())  # negR before andL
+@example(Logic.K4, sides("p /\\ q", "p \\/ q"), frozenset())  # andL before orR
+@example(Logic.K4, sides("", "p \\/ q, p -> p"), frozenset())  # orR before impR
+@example(Logic.S4, sides("[]p", "q -> p"), frozenset())  # impR before unboxS4
+@example(Logic.S4, sides("[]bot, p \\/ q", ""), frozenset())  # unboxS4 before orL
+@example(Logic.K4, sides("p \\/ p", "p /\\ p"), frozenset())  # orL before andR
+@example(Logic.K4, sides("p -> q", "~bot /\\ ~bot"), frozenset())  # andR before impL
+# S4 unboxes neither a box unboxed in this layer nor one whose body is there
+@example(Logic.S4, sides("[]bot, []p, p, []q", "q"), frozenset([parse_modal("[]bot")]))
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([Logic.K4, Logic.KD4, Logic.S4, Logic.GL]),
+    capped_sequents(),
+    st.frozensets(st.builds(Box, st.sampled_from([p, q, BOT])), max_size=2),
+)
+def test_first_step_is_the_table_order_pick(logic, sequent, unboxed):
+    ante, succ = sequent
+    try:
+        macro, _ = prover._decide(prover._SearchState(logic, Budget()), ante, succ, frozenset(), unboxed)
+    except BudgetExhausted:
+        macro = None
+    # a failed search returns no macro, so only proofs show their first step
+    assume(macro is not None)
+    want = reference_pick(logic, ante, succ, unboxed)
+    if want is None:
+        assert macro.kind in {"box4R", "boxDR", "boxSR", "GLR"}
+    else:
+        assert (macro.kind, macro.principal) == want
+
+
+def memo_key(c):
+    return frozenset(c.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(formulas(3), max_size=6), st.randoms(use_true_random=False))
+def test_multisets_hold_no_zero_counts(fs, rnd):
+    added = {}
+    for f in fs:
+        added = prover._cap_add(added, f)
+        assert added[f] <= prover._CAP
+    shuffled = list(fs)
+    rnd.shuffle(shuffled)
+    other = {}
+    for f in shuffled:
+        other = prover._cap_add(other, f)
+    assert memo_key(other) == memo_key(added)
+    # a formula added and dropped again leaves no key behind
+    extra = Atom("r")
+    assert memo_key(prover._drop(prover._cap_add(other, extra), extra)) == memo_key(added)
+    for f in list(added):
+        while f in added:
+            added = prover._drop(added, f)
+        assert f not in added
+    assert added == {}
+
+
+def test_multiset_helpers_keep_counts_positive_and_capped():
+    assert prover._drop({p: 1, q: 2}, p) == {q: 2}
+    assert prover._drop({p: 2}, p) == {p: 1}
+    c = {}
+    for _ in range(5):
+        c = prover._cap_add(c, p)
+    assert c == {p: prover._CAP}
+    assert prover._capped({p: 5, q: 1, BOT: 3}) == {p: prover._CAP, q: 1, BOT: prover._CAP}
+    assert prover._sum({p: 1}, {p: 2, q: 1}) == {p: 3, q: 1}
+    base = {p: 1}
+    prover._plus(base, q)
+    prover._drop(base, p)
+    assert base == {p: 1}  # the helpers build new dicts
