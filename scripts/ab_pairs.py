@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
 """Alternated A/B runs of the benchmark: a base revision against the working tree.
 
-Usage: python3 scripts/ab_pairs.py BASE_REV [--workload W] [--pairs N] [--seconds S] [--seed K]
+Usage: python3 scripts/ab_pairs.py BASE_REV [--workload W] [--pairs N] [--seconds S | --items N] [--seed K]
 
 BASE_REV is exported with `git archive` into a temporary directory, so the
 repository's worktrees, refs and index are left as they are.  Each pair runs
 `perfbench/run.py --trace 0` once on that copy and once on the working tree,
 one process at a time; the side that runs first alternates from pair to pair.
 The last line of each run's output is its JSON result.
+
+--items N runs exactly N units on each side instead of a fixed time, so that
+`peak_rss_mb` compares equal work.  In a fixed-time run the harness's own
+records grow by about 67 bytes per completed item (one latency and one token
+per item, and the end-of-run statistics), so a faster tree completes more
+items and reads a higher peak for that reason alone.
 
 For every end-to-end metric in BENCHMARK.json the script prints each side's
 median and quartiles, the ratio of the medians, the pairs the working tree
@@ -38,8 +44,9 @@ def export(rev: str, dest: pathlib.Path) -> None:
 
 def run_once(tree: pathlib.Path, args) -> dict | None:
     """The JSON result of one benchmark run in tree, or None if the run failed."""
+    length = ["--items", str(args.items)] if args.items else ["--seconds", str(args.seconds)]
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), *length, "--trace", "0"]
     try:
         out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                              timeout=20 * args.seconds + 600)
@@ -69,11 +76,13 @@ def main() -> int:
     p.add_argument("base_rev")
     p.add_argument("--workload", default="modal-evidence")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=25.0)
+    length = p.add_mutually_exclusive_group()
+    length.add_argument("--seconds", type=float, default=25.0)
+    length.add_argument("--items", type=int, default=None, help="run exactly N units instead of --seconds")
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args()
-    if args.pairs < 1 or args.seconds <= 0:
-        p.error("--pairs and --seconds must be positive")
+    if args.pairs < 1 or args.seconds <= 0 or (args.items is not None and args.items < 1):
+        p.error("--pairs, --seconds and --items must be positive")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs = {"base": [], "tree": []}
@@ -92,7 +101,8 @@ def main() -> int:
                 sys.stderr.write(f"pair {i + 1}/{args.pairs} {side}: items_per_s {value}\n")
 
     pairs = [(b, t) for b, t in zip(runs["base"], runs["tree"]) if b and t]
-    print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s runs, {len(pairs)} of {args.pairs} pairs "
+    length = f"{args.items} units" if args.items else f"{args.seconds:g} s"
+    print(f"{args.workload}, seed {args.seed}, {length} runs, {len(pairs)} of {args.pairs} pairs "
           f"complete: base {args.base_rev} against the working tree")
     for m in metrics if pairs else ():
         name, higher = m["name"], m["better"] == "higher"
