@@ -1,6 +1,11 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from provlab.corpus import BOX_FREE_PARAMS, DEFAULT_PARAMS, generate_corpus
+from provlab.crosscheck import _random_valid_translation
 from provlab.formulas import (
     Atom,
     BOT,
@@ -10,7 +15,10 @@ from provlab.formulas import (
     Imp,
     Neg,
     Or,
+    atoms,
     count_boxes,
+    modal_degree,
+    neg_as_imp,
     parse_modal,
     parse_prop,
     print_formula,
@@ -234,3 +242,30 @@ def test_translate_k4_to_gl_invalid_translation():
 def test_translate_k4_to_gl_q_collision():
     with pytest.raises(ReservedAtomCollision):
         translate_k4_to_gl(Box(Atom("q0")), (0,))
+
+
+# One sha256 over the outputs of every structural rewrite on the default and
+# box-free corpora: size, modal_degree, sorted atoms and printed neg_as_imp;
+# translate_bhk in every flavor (box-free corpus only); translate_k4_to_gl
+# under the canonical witness from 0 and from 2 and a seeded random valid
+# translation; interpret under the canonical witness, with and without a
+# sigma dict.  It pins each rewrite's output and the order in which its
+# boxes are numbered.
+REWRITES_DIGEST = "6d85eec6ea76837027cf3784508d39ab75eda1967c70675eddef3a4b67228f3f"
+
+
+def test_rewrites_are_pinned():
+    h = hashlib.sha256()
+    rng = random.Random(1)
+    sigma = {"p": SigmaAtom("S"), "q": SigmaAtom("0 = 1")}
+    for params in (DEFAULT_PARAMS, BOX_FREE_PARAMS):
+        for f in generate_corpus(params).formulas:
+            out = [str(size(f)), str(modal_degree(f)), ",".join(sorted(atoms(f))), print_formula(neg_as_imp(f))]
+            if params is BOX_FREE_PARAMS:
+                out += [print_formula(translate_bhk(f, flavor)) for flavor in ("b", "w", "g")]
+            for t in (canonical_witness(f), canonical_witness(f, 2), _random_valid_translation(f, rng, 4)):
+                out.append(print_formula(translate_k4_to_gl(f, t)))
+            wit = canonical_witness(f)
+            out += [print_term(interpret(f, wit)), print_term(interpret(f, wit, sigma))]
+            h.update(("\t".join(out) + "\n").encode())
+    assert h.hexdigest() == REWRITES_DIGEST
