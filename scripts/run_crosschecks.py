@@ -2,11 +2,15 @@
 """Run every cross-validation suite and write the reports to reports/.
 
 Usage: python3 scripts/run_crosschecks.py [--out reports] [--quick] [--suites NAME ...]
+                                          [--against DIR]
 
 --quick shrinks the corpora to 150 formulas for a fast smoke run; the default
 is the full default corpus (2000 formulas, seed 1) and takes a few minutes.
 Each line gives the suite's time and the sha256 of the report it wrote.
-Exits nonzero if any suite reports a disagreement or evidence failure.
+With --against DIR, each report's bytes are also compared with DIR/<suite>.json
+(the reports of an earlier run), and a line per suite says `same` or `DIFFERS`.
+Exits nonzero if any suite reports a disagreement or evidence failure, or
+under --against if any report differs.
 """
 
 import argparse
@@ -26,6 +30,7 @@ def main() -> int:
     parser.add_argument("--out", default="reports")
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--suites", nargs="*", default=list(SUITES), choices=list(SUITES))
+    parser.add_argument("--against", metavar="DIR", help="compare each report with DIR/<suite>.json")
     args = parser.parse_args()
 
     out = pathlib.Path(args.out)
@@ -39,6 +44,7 @@ def main() -> int:
         box_free = generate_corpus(BOX_FREE_PARAMS)
 
     failed = []
+    differs = []
     for suite in args.suites:
         corpus = box_free if suite.startswith("t99") else modal
         t0 = time.time()
@@ -53,8 +59,17 @@ def main() -> int:
         print(f"{suite:<12} {status:<7} {elapsed:7.1f}s  sha256 {digest}  {summary}", flush=True)
         if not report.ok:
             failed.append(suite)
+        if args.against is not None:
+            previous = pathlib.Path(args.against) / f"{suite}.json"
+            same = previous.is_file() and previous.read_bytes() == body
+            print(f"{suite:<12} {'same' if same else 'DIFFERS'} against {previous}", flush=True)
+            if not same:
+                differs.append(suite)
     if failed:
         print(f"FAILED suites: {', '.join(failed)}", file=sys.stderr)
+    if differs:
+        print(f"reports that differ: {', '.join(differs)}", file=sys.stderr)
+    if failed or differs:
         return 1
     print(f"all {len(args.suites)} suites ok; reports in {out}/")
     return 0

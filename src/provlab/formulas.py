@@ -10,6 +10,11 @@ derivation checker and the evaluators key dicts and sets by formulas, and
 a recomputed hash walks the whole subtree on every lookup; the cached one
 is O(1).  It is built from str hashes, so it varies with
 PYTHONHASHSEED, and pickling rebuilds a node through its constructor.
+
+Structural walks and rewrites go through one walk, which never recurses:
+preorder lists the nodes (left child first, by an explicit stack) and fold
+visits them children first, over that list reversed.  So fold meets the boxes
+last first.  The printer and the parser stay recursive: they are hot paths.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, TypeVar, Union
+
+T = TypeVar("T")
 
 
 class FormulaSyntaxError(ValueError):
@@ -282,19 +289,14 @@ def parse_modal(text: str) -> Formula:
 
 def neg_as_imp(f: Formula) -> Formula:
     """Rewrite every ~A into A -> bot (the propositional reading of negation)."""
-    match f:
-        case Neg(sub):
-            return Imp(neg_as_imp(sub), BOT)
-        case And(l, r):
-            return And(neg_as_imp(l), neg_as_imp(r))
-        case Or(l, r):
-            return Or(neg_as_imp(l), neg_as_imp(r))
-        case Imp(l, r):
-            return Imp(neg_as_imp(l), neg_as_imp(r))
-        case Box(sub):
-            return Box(neg_as_imp(sub))
-        case _:
-            return f
+
+    def visit(g: Formula, kids: tuple) -> Formula:
+        cls = g.__class__
+        if cls is Neg:
+            return Imp(kids[0], BOT)
+        return cls(*kids) if kids else g
+
+    return fold(f, visit)
 
 
 def parse_prop(text: str) -> Formula:
@@ -362,13 +364,55 @@ def print_formula(f: Formula, memo: dict | None = None) -> str:
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    # class tests instead of match patterns: every walk below calls this per node
+    # class tests instead of match patterns: subformula_occurrences calls this per node
     cls = f.__class__
     if cls is Neg or cls is Box:
         return (f.sub,)
     if cls is And or cls is Or or cls is Imp:
         return (f.left, f.right)
     return ()
+
+
+def preorder(f: Formula) -> list[Formula]:
+    """The nodes of f in pre-order, left child first; TypeError on a non-formula."""
+    out = []
+    stack = [f]
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        g = pop()
+        emit(g)
+        # class tests, as in _Node.__eq__: this runs once per node
+        cls = g.__class__
+        if cls is Neg or cls is Box:
+            push(g.sub)
+        elif cls is And or cls is Or or cls is Imp:
+            push(g.right)
+            push(g.left)
+        elif cls is not Atom and cls is not Bot and cls is not Top:
+            raise TypeError(f"not a formula: {g!r}")
+    return out
+
+
+def fold(f: Formula, visit: Callable[[Formula, tuple], T]) -> T:
+    """Call visit(g, kids) at every node g of f, children first; the value at f.
+
+    kids holds the values of g's children, left to right.  The nodes are met in
+    reversed pre-order, so the boxes come last first: a rewrite that numbers its
+    boxes by a sequence t in box_occurrences order reads t from the end
+    (numbers = reversed(t), then next(numbers) at each box).
+    """
+    vals: list = []
+    pop, push = vals.pop, vals.append
+    for g in reversed(preorder(f)):
+        cls = g.__class__
+        if cls is Neg or cls is Box:
+            push(visit(g, (pop(),)))
+        elif cls is And or cls is Or or cls is Imp:
+            # the right subtree is met first, so the left child's value is on top
+            push(visit(g, (pop(), pop())))
+        else:
+            push(visit(g, ()))
+    return vals[0]
 
 
 def subformula_occurrences(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
@@ -387,30 +431,25 @@ def subformula_occurrences(f: Formula) -> Iterator[tuple[tuple[int, ...], Formul
 
 
 def subformulas(f: Formula) -> set[Formula]:
-    return {g for _, g in subformula_occurrences(f)}
+    return set(preorder(f))
 
 
 def atoms(f: Formula) -> set[str]:
-    return {g.name for g in subformulas(f) if isinstance(g, Atom)}
+    return {g.name for g in preorder(f) if g.__class__ is Atom}
 
 
 def size(f: Formula) -> int:
     """Number of AST nodes."""
-    return 1 + sum(size(c) for c in children(f))
+    return len(preorder(f))
 
 
 def is_box_free(f: Formula) -> bool:
-    return not any(isinstance(g, Box) for g in subformulas(f))
+    return not any(g.__class__ is Box for g in preorder(f))
 
 
 def modal_degree(f: Formula) -> int:
     """Maximum number of nested boxes along any root-to-leaf path."""
-    match f:
-        case Box(sub):
-            return 1 + modal_degree(sub)
-        case _:
-            kids = children(f)
-            return max((modal_degree(c) for c in kids), default=0)
+    return fold(f, lambda g, kids: max(kids, default=0) + (g.__class__ is Box))
 
 
 def box_occurrences(f: Formula) -> list[tuple[int, ...]]:
@@ -434,7 +473,7 @@ def boxes_within(occ: list[tuple[int, ...]], path: tuple[int, ...]) -> range:
 
 
 def count_boxes(f: Formula) -> int:
-    return len(box_occurrences(f))
+    return sum(g.__class__ is Box for g in preorder(f))
 
 
 def conj(fs: list[Formula] | tuple[Formula, ...]) -> Formula:

@@ -5,8 +5,10 @@ outermost-first order of box_occurrences; each box's number must strictly
 exceed every number assigned inside its scope.  The K4-to-GL translation is
 based on a sequence with the same validity condition, so one notion of
 ordered sequence serves both.  Which boxes lie inside a box is read from
-formulas.boxes_within, a slice of that sorted order; witness_check walks the
-formula instead, as an independent check of translation_valid.
+formulas.boxes_within, a slice of that sorted order.  interpret and
+translate_k4_to_gl read their sequence from the end, as formulas.fold meets
+the boxes last first.  witness_check stays a recursive walk of its own on
+purpose: it is the independent check of translation_valid.
 
 Interpretations are rendered purely symbolically: atoms become opaque
 substituted sentences and each box becomes an indexed provability operator
@@ -16,6 +18,7 @@ Pr_n applied to its scope.  Nothing here evaluates over arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Union
 
 from .formulas import (
@@ -34,6 +37,7 @@ from .formulas import (
     box_occurrences,
     boxes_within,
     count_boxes,
+    fold,
     print_formula,
     size,
 )
@@ -278,6 +282,8 @@ class Pr:
 
 InterpretationTerm = Union[SigmaAtom, Falsum, Verum, INeg, IAnd, IOr, IImp, Pr]
 
+_ICONN = {Neg: INeg, And: IAnd, Or: IOr, Imp: IImp}
+
 
 def interpret(
     a: Formula, wit: Witness, sigma: Callable[[str], SigmaAtom] | dict[str, SigmaAtom] | None = None
@@ -293,37 +299,21 @@ def interpret(
     else:
         lookup = sigma
 
-    def go(g: Formula, i: int) -> tuple[InterpretationTerm, int]:
-        match g:
-            case Atom(name):
-                return lookup(name), i
-            case Bot():
-                return Falsum(), i
-            case Top():
-                return Verum(), i
-            case Neg(sub):
-                t, j = go(sub, i)
-                return INeg(t), j
-            case And(l, r):
-                t1, j = go(l, i)
-                t2, k = go(r, j)
-                return IAnd(t1, t2), k
-            case Or(l, r):
-                t1, j = go(l, i)
-                t2, k = go(r, j)
-                return IOr(t1, t2), k
-            case Imp(l, r):
-                t1, j = go(l, i)
-                t2, k = go(r, j)
-                return IImp(t1, t2), k
-            case Box(sub):
-                t, j = go(sub, i + 1)
-                return Pr(wit[i], t), j
-        raise TypeError(f"not a formula: {g!r}")
+    numbers = reversed(wit)
 
-    term, consumed = go(a, 0)
-    assert consumed == len(wit)
-    return term
+    def visit(g: Formula, kids: tuple) -> InterpretationTerm:
+        cls = g.__class__
+        if cls is Atom:
+            return lookup(g.name)
+        if cls is Bot:
+            return Falsum()
+        if cls is Top:
+            return Verum()
+        if cls is Box:
+            return Pr(next(numbers), kids[0])
+        return _ICONN[cls](*kids)
+
+    return fold(a, visit)
 
 
 _IPREC = {IImp: 1, IOr: 2, IAnd: 3, INeg: 4}
@@ -397,31 +387,27 @@ def translate_bhk(f: Formula, flavor: str) -> Formula:
         case _:
             falsum = BOT
 
-    def go(g: Formula) -> Formula:
-        match g:
-            case Atom(name):
-                return Box(g)
-            case Bot():
-                return falsum
-            case Top():
-                return g
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case Imp(l, r):
-                return Box(Imp(go(l), go(r)))
-            case Neg(sub):
-                if flavor == "g":
-                    return Box(Neg(go(sub)))
-                return Box(Imp(go(sub), falsum))
-            case Box():
-                raise ValueError("translation input must be box-free")
-        raise TypeError(f"not a formula: {g!r}")
+    def visit(g: Formula, kids: tuple) -> Formula:
+        cls = g.__class__
+        if cls is Atom:
+            return Box(g)
+        if cls is Bot:
+            return falsum
+        if cls is Top:
+            return g
+        if cls is And or cls is Or:
+            return cls(*kids)
+        if cls is Imp:
+            return Box(Imp(*kids))
+        if cls is Neg:
+            if flavor == "g":
+                return Box(Neg(kids[0]))
+            return Box(Imp(kids[0], falsum))
+        raise ValueError("translation input must be box-free")
 
     if flavor == "w" and WEAK_BHK_ATOM in atoms(f):
         raise ReservedAtomCollision(f"input already uses the reserved atom {WEAK_BHK_ATOM!r}")
-    return go(f)
+    return fold(f, visit)
 
 
 def q_atom(i: int) -> Atom:
@@ -439,37 +425,14 @@ def translate_k4_to_gl(a: Formula, t: Witness) -> Formula:
     if not translation_valid(t, a):
         raise InvalidWitnessError(f"{t} is not a valid translation for the formula")
 
-    def q_conj(n: int) -> Formula:
-        out: Formula = q_atom(0)
-        for i in range(1, n + 1):
-            out = And(out, q_atom(i))
-        return out
+    # prefixes[n] is q0 /\ ... /\ qn, left-associated; the boxes share them
+    prefixes = list(accumulate((q_atom(i) for i in range(max(t, default=-1) + 1)), And))
+    numbers = reversed(t)
 
-    def go(g: Formula, i: int) -> tuple[Formula, int]:
-        match g:
-            case Atom() | Bot() | Top():
-                return g, i
-            case Neg(sub):
-                s, j = go(sub, i)
-                return Neg(s), j
-            case And(l, r):
-                t1, j = go(l, i)
-                t2, k = go(r, j)
-                return And(t1, t2), k
-            case Or(l, r):
-                t1, j = go(l, i)
-                t2, k = go(r, j)
-                return Or(t1, t2), k
-            case Imp(l, r):
-                t1, j = go(l, i)
-                t2, k = go(r, j)
-                return Imp(t1, t2), k
-            case Box(sub):
-                n = t[i]
-                s, j = go(sub, i + 1)
-                return Box(Imp(q_conj(n), s)), j
-        raise TypeError(f"not a formula: {g!r}")
+    def visit(g: Formula, kids: tuple) -> Formula:
+        cls = g.__class__
+        if cls is Box:
+            return Box(Imp(prefixes[next(numbers)], kids[0]))
+        return cls(*kids) if kids else g
 
-    out, consumed = go(a, 0)
-    assert consumed == len(t)
-    return out
+    return fold(a, visit)

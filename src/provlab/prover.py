@@ -42,8 +42,8 @@ from .formulas import (
     Sequent,
     Top,
     conj,
+    preorder,
     print_formula,
-    subformula_occurrences,
 )
 from .frames import find_countermodel
 from .kripke import (
@@ -140,6 +140,13 @@ class _SearchState:
     skeys: _SortKeys = field(default_factory=_SortKeys)
     memo_true: dict = field(default_factory=dict)
     memo_false: set = field(default_factory=set)
+    # looked up once per search: a Logic key hashes through the Python-level Enum.__hash__
+    ranks: tuple = field(init=False)
+    box_rule: _BoxRule = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ranks = _RANKS[self.logic]
+        self.box_rule = _BOX_RULE[self.logic]
 
 
 # The multiset helpers never change their arguments (_cap_add at the cap
@@ -301,7 +308,7 @@ def _decide(
 
     # one scan of each side: the formulas shared for close-id, and the principal
     # candidates of the first rule of _INVERTIBLE that has one (rank best)
-    ante_rank, succ_rank = _RANKS[st.logic]
+    ante_rank, succ_rank = st.ranks
     best = len(_INVERTIBLE)
     cands = []
     shared = []
@@ -347,7 +354,7 @@ def _decide(
     if key in history:
         return None, True
     history = history | {key}
-    box_rule = _BOX_RULE[st.logic]
+    box_rule = st.box_rule
     boxes, inner = _boxed_parts(ante)
     branches = [
         (box_rule.kind, bf, {bf.sub: 1})
@@ -378,32 +385,21 @@ def _seq_of(st: _SearchState, ante: dict, succ: dict) -> Sequent:
     return Sequent(tuple(left), tuple(right))
 
 
-# d concludes has_a => has_s: its caller holds those counts, so d's sequent is not counted again
-def _weaken_up(st: _SearchState, d: Derivation, has_a: dict, has_s: dict,
-               ante: dict, succ: dict) -> Derivation:
-    cur_a, cur_s = has_a, has_s
-    for f in sorted(ante, key=st.skeys.__getitem__):
-        while cur_a.get(f, 0) < ante[f]:
-            cur_a = _plus(cur_a, f)
-            d = Derivation(_seq_of(st, cur_a, cur_s), "wL", (d,))
-    for f in sorted(succ, key=st.skeys.__getitem__):
-        while cur_s.get(f, 0) < succ[f]:
-            cur_s = _plus(cur_s, f)
-            d = Derivation(_seq_of(st, cur_a, cur_s), "wR", (d,))
-    return d
-
-
-def _contract_down(st: _SearchState, d: Derivation, has_a: dict, has_s: dict,
-                   ante: dict, succ: dict) -> Derivation:
-    cur_a, cur_s = has_a, has_s
-    for f in sorted(cur_a, key=st.skeys.__getitem__):
-        while cur_a.get(f, 0) > ante.get(f, 0):
-            cur_a = _drop(cur_a, f)
-            d = Derivation(_seq_of(st, cur_a, cur_s), "cL", (d,))
-    for f in sorted(cur_s, key=st.skeys.__getitem__):
-        while cur_s.get(f, 0) > succ.get(f, 0):
-            cur_s = _drop(cur_s, f)
-            d = Derivation(_seq_of(st, cur_a, cur_s), "cR", (d,))
+def _restructure(st: _SearchState, d: Derivation, has_a: dict, has_s: dict,
+                 ante: dict, succ: dict) -> Derivation:
+    """Weaken and contract d, which concludes has_a => has_s (held by the caller, so not
+    counted again), to ante => succ: per side, in print-key order, each count steps
+    toward its target by wL/wR while below it and by cL/cR while above it."""
+    cur = [has_a, has_s]
+    for i, want, weaken, contract in ((0, ante, "wL", "cL"), (1, succ, "wR", "cR")):
+        for f in sorted(cur[i].keys() | want.keys(), key=st.skeys.__getitem__):
+            n = want.get(f, 0)
+            while cur[i].get(f, 0) < n:
+                cur[i] = _plus(cur[i], f)
+                d = Derivation(_seq_of(st, cur[0], cur[1]), weaken, (d,))
+            while cur[i].get(f, 0) > n:
+                cur[i] = _drop(cur[i], f)
+                d = Derivation(_seq_of(st, cur[0], cur[1]), contract, (d,))
     return d
 
 
@@ -415,14 +411,14 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
         # search premises are duplicate-capped; pad back up to the exact rule premise
         want_a, want_s = want
         sub = m.subs[i]
-        return _weaken_up(st, _expand(st, sub), sub.ante, sub.succ, want_a, want_s)
+        return _restructure(st, _expand(st, sub), sub.ante, sub.succ, want_a, want_s)
 
     if m.kind == "close-bot":
         leaf = Derivation(Sequent((BOT,), ()), "Axiom-Bot")
-        return _weaken_up(st, leaf, {BOT: 1}, {}, ante, succ)
+        return _restructure(st, leaf, {BOT: 1}, {}, ante, succ)
     if m.kind == "close-id":
         leaf = Derivation(Sequent((f,), (f,)), "Axiom-Id")
-        return _weaken_up(st, leaf, {f: 1}, {f: 1}, ante, succ)
+        return _restructure(st, leaf, {f: 1}, {f: 1}, ante, succ)
 
     rule = _RULE_OF_KIND.get(m.kind)
     if rule is not None:
@@ -440,10 +436,10 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
         # the other rules conclude on more than the goal (BoxL keeps its box): contract
         has_a, has_s = _sides(rule, _plus(rest, f), other)
         d = Derivation(_seq_of(st, has_a, has_s), rule.primitive, ds)
-        return _contract_down(st, d, has_a, has_s, ante, succ)
+        return _restructure(st, d, has_a, has_s, ante, succ)
 
     boxes, inner = _boxed_parts(ante)
-    box_rule = _BOX_RULE[st.logic]
+    box_rule = st.box_rule
     if m.kind == "boxDR":
         d = sub_at(0, (box_rule.ante(_plus, boxes, inner, None), {}))
         has_s = {}
@@ -452,7 +448,7 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
         d = sub_at(0, (box_rule.ante(_plus, boxes, inner, f), {f.sub: 1}))
         has_s = {f: 1}
         d = Derivation(_seq_of(st, boxes, has_s), box_rule.primitive, (d,))
-    return _weaken_up(st, d, boxes, has_s, ante, succ)
+    return _restructure(st, d, boxes, has_s, ante, succ)
 
 
 def gls_reduce(a: Formula) -> Formula:
@@ -461,7 +457,7 @@ def gls_reduce(a: Formula) -> Formula:
     The empty conjunction is top.
     """
     # each distinct boxed subformula once, in box_occurrences order
-    boxed = dict.fromkeys(g for _, g in subformula_occurrences(a) if isinstance(g, Box))
+    boxed = dict.fromkeys(g for g in preorder(a) if g.__class__ is Box)
     return Imp(conj([Imp(b, b.sub) for b in boxed]), a)
 
 
@@ -506,7 +502,7 @@ def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult
     reduction = searched.succ[0] if logic == Logic.GLS else None
     if proof is not None:
         d = _expand(st, proof)
-        d = _weaken_up(st, d, proof.ante, proof.succ, _count(norm.ante), _count(norm.succ))
+        d = _restructure(st, d, proof.ante, proof.succ, _count(norm.ante), _count(norm.succ))
         return Provable(logic, s, Derivation(norm, d.rule, d.premises), reduction)
 
     goal = searched.formula()

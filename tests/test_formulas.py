@@ -28,17 +28,19 @@ from provlab.formulas import (
     conj,
     count_boxes,
     disj,
+    fold,
     is_box_free,
     modal_degree,
     neg_as_imp,
     parse_modal,
     parse_prop,
     print_formula,
+    preorder,
     print_sequent,
     size,
     subformula_occurrences,
 )
-from provlab.provability import canonical_witness, translation_valid
+from provlab.provability import canonical_witness, translate_bhk, translate_k4_to_gl, translation_valid
 from provlab.prover import gls_reduce
 from provlab.unwind import t_complexity
 
@@ -193,6 +195,15 @@ def test_box_walks_do_not_recurse():
     instances.append(g)
     # the conjunction is left-associated: the outermost box's instance ends the left spine
     assert len(instances) == depth and instances[-1] == Imp(f, f.sub)
+    assert size(f) == depth + 1 and modal_degree(f) == depth
+    assert neg_as_imp(f) == f and not is_box_free(f)
+    g = translate_k4_to_gl(f, t)
+    for n in t:
+        # the box numbered n is relativized to q0 /\ ... /\ qn, whose last conjunct is qn
+        qs = g.sub.left
+        assert g.__class__ is Box and (qs.right if n else qs) == Atom(f"q{n}")
+        g = g.sub.right
+    assert g == Atom("p")
 
 
 def test_parse_prop_rewrites_negation():
@@ -248,6 +259,42 @@ def _neg_chain(depth):
     for _ in range(depth):
         f = Neg(f)
     return f
+
+
+def test_box_free_rewrites_do_not_recurse():
+    depth = 5000
+    f = _neg_chain(depth)
+    assert size(f) == depth + 1 and is_box_free(f)
+    g = neg_as_imp(f)
+    assert size(g) == 2 * depth + 1
+    for _ in range(depth):
+        assert g.__class__ is Imp and g.right == BOT
+        g = g.left
+    assert g == Atom("p")
+    # b: ~A becomes [](A -> []bot) and p becomes []p
+    assert size(translate_bhk(f, "b")) == 4 * depth + 2
+    # g: ~A becomes []~A
+    assert size(translate_bhk(f, "g")) == 2 * depth + 2
+
+
+@given(formulas())
+def test_fold_meets_boxes_last_first(f):
+    met = []
+
+    def visit(g, kids):
+        if g.__class__ is Box:
+            met.append(g)
+        return g.__class__(*kids) if kids else g
+
+    assert fold(f, visit) == f
+    assert [id(g) for g in met] == [id(subformula_at(f, path)) for path in reversed(box_occurrences(f))]
+    assert preorder(f) == [g for _, g in subformula_occurrences(f)]
+
+
+def test_preorder_rejects_a_non_formula():
+    for bad in ("p", None, 3):
+        with pytest.raises(TypeError, match="not a formula"):
+            preorder(bad)
 
 
 def test_hash_and_eq_do_not_recurse():
