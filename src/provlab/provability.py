@@ -182,40 +182,20 @@ def expansions(a: Formula, max_disjuncts: int = 2, max_total_size: int = 64) -> 
     if max_disjuncts < 1:
         raise ValueError("max_disjuncts must be >= 1")
 
-    memo: dict[Formula, list[Formula]] = {}
+    def visit(g: Formula, kids: tuple) -> list[Formula]:
+        cls = g.__class__
+        if cls is Box:
+            out = [Box(d) for k in range(1, max_disjuncts + 1)
+                   for d in _disjunction_tuples(kids[0], k, max_total_size - 1)]
+        elif cls is Neg:
+            out = [Neg(d) for d in kids[0]]
+        elif kids:
+            out = [cls(dl, dr) for dl in kids[0] for dr in kids[1] if size(dl) + size(dr) < max_total_size]
+        else:
+            out = [g]
+        return [f for f in out if size(f) <= max_total_size]
 
-    def all_of(g: Formula) -> list[Formula]:
-        if g in memo:
-            return memo[g]
-        out: list[Formula]
-        match g:
-            case Atom() | Bot() | Top():
-                out = [g]
-            case Neg(sub):
-                out = [Neg(d) for d in all_of(sub) if size(d) + 1 <= max_total_size]
-            case Box(sub):
-                ds = all_of(sub)
-                out = []
-                for k in range(1, max_disjuncts + 1):
-                    out.extend(
-                        f
-                        for f in _disjunction_tuples(ds, k, max_total_size - 1)
-                    )
-                out = [Box(d) for d in out]
-            case And(l, r) | Or(l, r) | Imp(l, r):
-                ctor = type(g)
-                out = []
-                for dl in all_of(l):
-                    for dr in all_of(r):
-                        if size(dl) + size(dr) + 1 <= max_total_size:
-                            out.append(ctor(dl, dr))
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-        out = [f for f in out if size(f) <= max_total_size]
-        memo[g] = out
-        return out
-
-    yield from sorted(all_of(a), key=lambda f: (size(f), print_formula(f)))
+    yield from sorted(fold(a, visit), key=lambda f: (size(f), print_formula(f)))
 
 
 def _disjunction_tuples(ds: list[Formula], k: int, budget: int) -> Iterator[Formula]:
@@ -410,10 +390,6 @@ def translate_bhk(f: Formula, flavor: str) -> Formula:
     return fold(f, visit)
 
 
-def q_atom(i: int) -> Atom:
-    return Atom(f"q{i}")
-
-
 def translate_k4_to_gl(a: Formula, t: Witness) -> Formula:
     """Relativize each box: Box(B) with assigned n becomes Box(q0 /\\ ... /\\ qn -> B).
 
@@ -426,7 +402,7 @@ def translate_k4_to_gl(a: Formula, t: Witness) -> Formula:
         raise InvalidWitnessError(f"{t} is not a valid translation for the formula")
 
     # prefixes[n] is q0 /\ ... /\ qn, left-associated; the boxes share them
-    prefixes = list(accumulate((q_atom(i) for i in range(max(t, default=-1) + 1)), And))
+    prefixes = list(accumulate((Atom(f"q{i}") for i in range(max(t, default=-1) + 1)), And))
     numbers = reversed(t)
 
     def visit(g: Formula, kids: tuple) -> Formula:

@@ -392,12 +392,14 @@ def _restructure(st: _SearchState, d: Derivation, has_a: dict, has_s: dict,
     toward its target by wL/wR while below it and by cL/cR while above it."""
     cur = [has_a, has_s]
     for i, want, weaken, contract in ((0, ante, "wL", "cL"), (1, succ, "wR", "cR")):
-        for f in sorted(cur[i].keys() | want.keys(), key=st.skeys.__getitem__):
-            n = want.get(f, 0)
-            while cur[i].get(f, 0) < n:
+        if cur[i] == want:
+            continue
+        for f in sorted(cur[i] | want, key=st.skeys.__getitem__):  # dict |: no formula is hashed again
+            have, n = cur[i].get(f, 0), want.get(f, 0)
+            for _ in range(have, n):
                 cur[i] = _plus(cur[i], f)
                 d = Derivation(_seq_of(st, cur[0], cur[1]), weaken, (d,))
-            while cur[i].get(f, 0) > n:
+            for _ in range(n, have):
                 cur[i] = _drop(cur[i], f)
                 d = Derivation(_seq_of(st, cur[0], cur[1]), contract, (d,))
     return d

@@ -269,3 +269,18 @@ def test_rewrites_are_pinned():
             out += [print_term(interpret(f, wit)), print_term(interpret(f, wit, sigma))]
             h.update(("\t".join(out) + "\n").encode())
     assert h.hexdigest() == REWRITES_DIGEST
+
+
+# One sha256 over the printed expansions of the first 100 default-corpus
+# formulas and FOUR_BOX under three (max_disjuncts, max_total_size) bounds:
+# it pins the members of each list and their order.
+EXPANSIONS_DIGEST = "fbf56264be174f25c15e3a83825deeb231a2c0c94f8309fdd2c0c48755446cbb"
+
+
+def test_expansions_are_pinned():
+    h = hashlib.sha256()
+    for f in (*generate_corpus(DEFAULT_PARAMS).formulas[:100], FOUR_BOX):
+        for max_disjuncts, max_total_size in ((1, 64), (2, 40), (3, 64)):
+            out = [print_formula(g) for g in expansions(f, max_disjuncts, max_total_size)]
+            h.update(("\t".join(out) + "\n").encode())
+    assert h.hexdigest() == EXPANSIONS_DIGEST
