@@ -34,8 +34,8 @@ from provlab.formulas import (
     neg_as_imp,
     parse_modal,
     parse_prop,
-    print_formula,
     preorder,
+    print_formula,
     print_sequent,
     size,
     subformula_occurrences,
