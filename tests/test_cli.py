@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -197,3 +198,37 @@ def test_witness_check_without_witness_exits_2(capsys):
 
 def test_bad_sigma_exits_2(capsys):
     assert "atom=sentence" in bad_input(capsys, "render", "--witness", "4", "--sigma", "p", "[]p")
+
+
+UNWIND_MODEL = {"nodes": ["a", "b"], "relation": [["a", "b"], ["b", "b"]],
+                "clusters": [["a"], ["b"]], "valuation": {"p": ["b"]}}
+
+# sha256 over each command's stdout, then its --dot file ("-" when none is
+# written), of the commands that report or write a countermodel; MODEL stands
+# for a file holding UNWIND_MODEL.  A change to any payload key, value or
+# layout, or to the DOT rendering, moves a digest.
+CLI_PINS = {
+    "prove-modal-not-provable": (["prove", "--logic", "k4", "[]p -> p"],
+        "b7ce2a8545743a08a747c47788bb0746d65485c034c6a6887ad2ba35357e945b"),
+    "prove-prop-not-provable": (["prove", "--logic", "ipc", "p \\/ ~p"],
+        "19e7396bf446f1a8f0ab940e5a885b81e06bb55e11440ff998edc2f6908af571"),
+    "prove-exhausted": (["prove", "--logic", "k4", "--budget-steps", "1", "[]([]p -> p) -> []p"],
+        "1e0eaaf6ac4e91218d3345d1a97947ec5e088df7708ab5c27cd57a92d68e4d93"),
+    "countermodel-found": (["countermodel", "--class", "s4", "p -> []p"],
+        "1c2e7bae191f1688ac8b6776ce7e5979a15cb5cdc2e8c7bc19d064eae2e2c5ee"),
+    "countermodel-absent": (["countermodel", "--class", "s4", "--max-nodes", "4", "~[](~[]p /\\ p)"],
+        "9b4eed8c030abafc184ae9bdde33206eb5cf7fb53184cf0f0c4ab49bced0b2a6"),
+    "unwind": (["unwind", "--model", "MODEL", "--formula", "[][]p", "--t", "1,0"],
+        "4ba28d63cc551de59c301fdff86acd9dbc0080fbbb6c3814ad442ba74a39d29f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_PINS))
+def test_cli_outputs_are_pinned(tmp_path, capsys, case):
+    argv, digest = CLI_PINS[case]
+    model, dot = tmp_path / "m.json", tmp_path / "out.dot"
+    model.write_text(json.dumps(UNWIND_MODEL))
+    assert main([str(model) if a == "MODEL" else a for a in argv] + ["--dot", str(dot)]) == 0
+    out = capsys.readouterr().out
+    body = out + "\n--dot--\n" + (dot.read_text() if dot.exists() else "-")
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
