@@ -18,7 +18,12 @@ items and reads a higher peak for that reason alone.
 For every end-to-end metric in BENCHMARK.json the script prints each side's
 median and quartiles, the ratio of the medians, the pairs the working tree
 won (ties count for neither) and whether the medians differ by more than the
-base's interquartile range.  It exits nonzero if any run fails or reports an
+base's interquartile range.  It then reads the metric against its `bound` in
+BENCHMARK.json, in this order: `better` if every tree run beats every base
+run; `unresolved` if the base's interquartile range, relative to its median,
+is wider than the bound; `WORSE beyond bound` if the tree's median is worse
+than the base's by more than the bound, relative to the base's median;
+otherwise `within bound`.  It exits nonzero if any run fails or reports an
 incorrect verdict.
 """
 
@@ -71,6 +76,17 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def reading(b: list[float], t: list[float], higher: bool, bound: float) -> str:
+    """The no-regression reading of one metric from its base and tree runs."""
+    b1, bm, b3 = quartiles(b)
+    if (min(t) > max(b)) if higher else (max(t) < min(b)):
+        return "better"
+    if bm and (b3 - b1) / bm > bound:
+        return "unresolved"
+    worse = (statistics.median(t) - bm) / bm if bm else 0.0
+    return "WORSE beyond bound" if (-worse if higher else worse) > bound else "within bound"
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("base_rev")
@@ -112,7 +128,8 @@ def main() -> int:
         won = sum((y > x) if higher else (y < x) for x, y in zip(b, t))
         ratio = f"{tm / bm:.3f}" if bm else "-"
         print(f"  {name:15} base {bm:.4g} [{b1:.4g}, {b3:.4g}]  tree {tm:.4g} [{t1:.4g}, {t3:.4g}]  "
-              f"ratio {ratio}  won {won}/{len(pairs)}  beyond base IQR: {abs(tm - bm) > b3 - b1}")
+              f"ratio {ratio}  won {won}/{len(pairs)}  beyond base IQR: {abs(tm - bm) > b3 - b1}  "
+              f"{reading(b, t, higher, m['bound'])}")
     return 0 if ok else 1
 
 

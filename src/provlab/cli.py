@@ -4,16 +4,18 @@ Structured results are printed as JSON on stdout; human-oriented notes go to
 stderr (suppressed entirely under --json).  The crosscheck subcommand exits
 nonzero on any disagreement or evidence re-verification failure.  Bad input
 exits 2 with one `error: <message>` line on stderr ({"error": <message>} on
-stdout under --json) and no traceback.
+stdout under --json) and no traceback; so does a formula nested too deeply for
+the recursive parser or printer.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .budget import Budget
+from .budget import Budget, BudgetExhausted
 from .calculus import Logic
 from .corpus import CorpusParams, generate_corpus
 from .crosscheck import SUITES, run_crosscheck
@@ -81,6 +83,15 @@ def _budget(args) -> Budget:
                   escalate_nodes=args.max_nodes + 2)
 
 
+def _countermodel(args, payload: dict, model: KripkeModel, node: str) -> None:
+    """Put model and its refuting node into payload; write --dot's file."""
+    payload["countermodel"] = model.to_json()
+    payload["refuting_node"] = node
+    if args.dot:
+        with open(args.dot, "w") as fh:
+            fh.write(model.to_dot(refuting=node))
+
+
 def _cmd_prove(args) -> int:
     name = args.logic.lower()
     if name in MODAL_LOGICS:
@@ -98,13 +109,9 @@ def _cmd_prove(args) -> int:
                     payload["reduction"] = print_formula(reduction)
             case NotProvable(_, _, model, node, reduction):
                 payload["verdict"] = "not-provable"
-                payload["countermodel"] = model.to_json()
-                payload["refuting_node"] = node
+                _countermodel(args, payload, model, node)
                 if reduction is not None:
                     payload["reduction"] = print_formula(reduction)
-                if args.dot:
-                    with open(args.dot, "w") as fh:
-                        fh.write(model.to_dot(refuting=node))
             case Exhausted(_, _, reason):
                 payload["verdict"] = "exhausted"
                 payload["reason"] = reason
@@ -125,12 +132,7 @@ def _cmd_prove(args) -> int:
         payload["translated_gamma"] = list(map(print_formula, v.translated_gamma))
         payload["modal_logic"] = v.modal_logic.value
     if v.countermodel is not None:
-        model, node = v.countermodel
-        payload["countermodel"] = model.to_json()
-        payload["refuting_node"] = node
-        if args.dot:
-            with open(args.dot, "w") as fh:
-                fh.write(model.to_dot(refuting=node))
+        _countermodel(args, payload, *v.countermodel)
     _emit(payload)
     return 0
 
@@ -138,17 +140,16 @@ def _cmd_prove(args) -> int:
 def _cmd_countermodel(args) -> int:
     frame_class = FRAME_CLASSES[args.frame_class.lower()]
     f = parse_modal(args.formula)
-    hit = find_countermodel(f, frame_class, args.max_nodes, _budget(args))
-    if hit is None:
-        _emit({"formula": args.formula, "frame_class": str(frame_class), "countermodel": None})
-        _note(args, f"no countermodel within {args.max_nodes} nodes")
-        return 0
-    model, node = hit
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(model.to_dot(refuting=node))
-    _emit({"formula": args.formula, "frame_class": str(frame_class),
-           "countermodel": model.to_json(), "refuting_node": node})
+    payload = {"formula": args.formula, "frame_class": str(frame_class), "countermodel": None}
+    try:
+        hit = find_countermodel(f, frame_class, args.max_nodes, _budget(args))
+    except BudgetExhausted as e:
+        hit, payload["reason"] = None, e.reason
+    if hit is not None:
+        _countermodel(args, payload, *hit)
+    else:
+        _note(args, payload.get("reason", f"no countermodel within {args.max_nodes} nodes"))
+    _emit(payload)
     return 0
 
 
@@ -233,13 +234,7 @@ def _corpus_params(args) -> CorpusParams:
 def _cmd_corpus(args) -> int:
     corpus = generate_corpus(_corpus_params(args))
     _emit({
-        "params": {
-            "atoms": list(corpus.params.atoms),
-            "max_connectives": corpus.params.max_connectives,
-            "max_degree": corpus.params.max_degree,
-            "sample_size": corpus.params.sample_size,
-            "seed": corpus.params.seed,
-        },
+        "params": dataclasses.asdict(corpus.params),
         "digest": corpus.digest(),
         "formulas": [print_formula(f) for f in corpus.formulas],
     })
@@ -340,11 +335,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except INPUT_ERRORS as e:
-        if args.json:
-            _emit({"error": str(e)})
-        else:
-            print(f"error: {e}", file=sys.stderr)
-        return 2
+        message = str(e)
+    except RecursionError:
+        message = "formula nested too deeply for this command"
+    if args.json:
+        _emit({"error": message})
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

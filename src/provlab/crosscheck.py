@@ -33,10 +33,10 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .budget import Budget, BudgetExhausted
+from .budget import Budget
 from .calculus import Logic, check_derivation
 from .corpus import BOX_FREE_PARAMS, Corpus, DEFAULT_PARAMS, generate_corpus
-from .formulas import Formula, Neg, Sequent, box_occurrences, boxes_within, count_boxes, modal_degree, print_formula
+from .formulas import Formula, Neg, Sequent, box_children, box_occurrences, count_boxes, modal_degree, print_formula
 from .frames import enumerate_models, sweep_refutations
 from .kripke import GL_FRAME, K4_FRAME, check, int_frame, validate_frame
 from .prop import PROP_TO_MODAL, PropLogic, prove_prop
@@ -118,6 +118,17 @@ def _rule_tally(derivation, tally: dict) -> None:
         _rule_tally(p, tally)
 
 
+def _refute_provable(report: CrosscheckReport, provable: list[tuple[int, Formula]], frame_class,
+                     max_nodes: int, status: str) -> int:
+    """Sweep the Provable formulas; mark each refuted record with status and a
+    refuting model.  Returns how many were refuted."""
+    swept = sweep_refutations([f for _, f in provable], frame_class, max_nodes)
+    refuted = [(i, swept[f]) for i, f in provable if swept[f] is not None]
+    for i, (model, _) in refuted:
+        report.records[i].update(status=status, refuting_model=model.to_json())
+    return len(refuted)
+
+
 def _oracle_suite(suite: str, corpus: Corpus, budget_steps: int, max_nodes: int) -> CrosscheckReport:
     logic = _ORACLE_LOGIC[suite]
     frame_class = FRAME_OF_LOGIC[logic]
@@ -153,14 +164,7 @@ def _oracle_suite(suite: str, corpus: Corpus, budget_steps: int, max_nodes: int)
             rec["status"] = "exhausted"
             exhausted += 1
         report.records.append(rec)
-    swept = sweep_refutations([f for _, f in provable], frame_class, max_nodes)
-    disagreements = 0
-    for i, f in provable:
-        hit = swept[f]
-        if hit is not None:
-            disagreements += 1
-            report.records[i]["status"] = "disagree"
-            report.records[i]["refuting_model"] = hit[0].to_json()
+    disagreements = _refute_provable(report, provable, frame_class, max_nodes, "disagree")
     report.summary = {
         "items": len(corpus.formulas),
         "provable": len(provable),
@@ -198,15 +202,8 @@ def _t99_suite(suite: str, corpus: Corpus, budget_steps: int, max_nodes: int) ->
         elif v.provable:
             provable.append((i, f))
         report.records.append(rec)
-    hard_failures = 0
-    if plogic != PropLogic.EBPC:
-        swept = sweep_refutations([f for _, f in provable], int_frame(plogic.value), max_nodes)
-        for i, f in provable:
-            hit = swept[f]
-            if hit is not None:
-                hard_failures += 1
-                report.records[i]["status"] = "semantic-refutation-of-provable"
-                report.records[i]["refuting_model"] = hit[0].to_json()
+    hard_failures = 0 if plogic == PropLogic.EBPC else _refute_provable(
+        report, provable, int_frame(plogic.value), max_nodes, "semantic-refutation-of-provable")
     report.summary = {
         "items": len(corpus.formulas),
         "provable": len(provable),
@@ -222,12 +219,9 @@ def _t99_suite(suite: str, corpus: Corpus, budget_steps: int, max_nodes: int) ->
 def _valid_translations(f: Formula, max_entry: int):
     """Exhaustive valid translation sequences with entries <= max_entry."""
     occ = box_occurrences(f)
-    if not occ:
-        yield ()
-        return
-    # assign bottom-up: each box must exceed the maxima of the boxes inside it
+    # assign deepest first: each box must exceed the boxes directly inside it
     order = sorted(range(len(occ)), key=lambda i: -len(occ[i]))
-    inside = [boxes_within(occ, path)[1:] for path in occ]
+    inside = box_children(f)
 
     def rec(pos: int, assigned: dict):
         if pos == len(order):
@@ -266,15 +260,13 @@ def _t33_suite(corpus: Corpus, budget_steps: int, max_nodes: int, seed: int) -> 
             rec["k4"] = "provable"
             if converse_checked < 200:
                 converse_checked += 1
-                hit = False
+                verdict = False
                 for t in _valid_translations(f, 3):
-                    try:
-                        if search_provable(Logic.GL, Sequent((), (translate_k4_to_gl(f, t),)),
-                                           _item_budget(budget_steps, max_nodes)):
-                            hit = True
-                            break
-                    except BudgetExhausted:
+                    verdict = search_provable(Logic.GL, Sequent((), (translate_k4_to_gl(f, t),)),
+                                              _item_budget(budget_steps, max_nodes))
+                    if verdict is not False:
                         break
+                hit = verdict is True
                 converse_hits += hit
                 rec["converse_some_t"] = hit
             report.records.append(rec)
@@ -305,15 +297,12 @@ def _t33_suite(corpus: Corpus, budget_steps: int, max_nodes: int, seed: int) -> 
                 break
             if rng.random() < 0.02 and prover_confirms < 60:
                 prover_confirms += 1
-                try:
-                    if search_provable(Logic.GL, Sequent((), (translated,)),
-                                       _item_budget(budget_steps, max_nodes)):
-                        violations += 1
-                        rec["status"] = "violation"
-                        rec["bad_translation"] = ",".join(map(str, t))
-                        break
-                except BudgetExhausted:
-                    pass
+                if search_provable(Logic.GL, Sequent((), (translated,)),
+                                   _item_budget(budget_steps, max_nodes)) is True:
+                    violations += 1
+                    rec["status"] = "violation"
+                    rec["bad_translation"] = ",".join(map(str, t))
+                    break
         rec["translations"] = checked
         translations_checked += checked
         report.records.append(rec)
@@ -374,9 +363,10 @@ def _l34_suite(corpus: Corpus, instances: int, seed: int) -> CrosscheckReport:
 
 def _random_valid_translation(f: Formula, rng: random.Random, max_entry: int) -> tuple[int, ...]:
     occ = box_occurrences(f)
+    inside = box_children(f)
     assigned: dict[int, int] = {}
     for i in sorted(range(len(occ)), key=lambda i: -len(occ[i])):
-        low = max((assigned[j] for j in boxes_within(occ, occ[i])[1:]), default=-1) + 1
+        low = max((assigned[j] for j in inside[i]), default=-1) + 1
         assigned[i] = rng.randint(low, max(low, max_entry))
     t = tuple(assigned[i] for i in range(len(occ)))
     assert translation_valid(t, f)
@@ -397,13 +387,8 @@ def _lattice_suite(corpus: Corpus, prop_corpus: Corpus, budget_steps: int, max_n
     ]
     violations = exhausted = 0
     for i, f in enumerate(corpus.formulas):
-        verdicts = {}
-        for logic in (Logic.K4, Logic.KD4, Logic.S4, Logic.GL, Logic.GLS):
-            try:
-                verdicts[logic] = search_provable(logic, Sequent((), (f,)),
-                                                  _item_budget(budget_steps, max_nodes))
-            except BudgetExhausted:
-                verdicts[logic] = None
+        verdicts = {logic: search_provable(logic, Sequent((), (f,)), _item_budget(budget_steps, max_nodes))
+                    for logic in (Logic.K4, Logic.KD4, Logic.S4, Logic.GL, Logic.GLS)}
         if None in verdicts.values():
             exhausted += 1
             continue
@@ -415,10 +400,9 @@ def _lattice_suite(corpus: Corpus, prop_corpus: Corpus, budget_steps: int, max_n
                     "weaker": weak.value, "stronger": strong.value,
                 })
     for i, f in enumerate(prop_corpus.formulas):
-        verdicts = {}
-        for plogic in (PropLogic.BPC, PropLogic.EBPC, PropLogic.IPC, PropLogic.CPC, PropLogic.FPL):
-            v = prove_prop(plogic, (), f, _item_budget(budget_steps, max_nodes), countermodel_nodes=0)
-            verdicts[plogic] = v.provable
+        verdicts = {plogic: prove_prop(plogic, (), f, _item_budget(budget_steps, max_nodes),
+                                       countermodel_nodes=0).provable
+                    for plogic in (PropLogic.BPC, PropLogic.EBPC, PropLogic.IPC, PropLogic.CPC, PropLogic.FPL)}
         if None in verdicts.values():
             exhausted += 1
             continue

@@ -20,7 +20,6 @@ last first.  The printer and the parser stay recursive: they are hot paths.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, TypeVar, Union
 
@@ -457,19 +456,30 @@ def box_occurrences(f: Formula) -> list[tuple[int, ...]]:
 
     This enumeration order is the one witness and translation sequences
     index into.  It is pre-order over child indices 0 and 1, so the list is
-    sorted, and boxes_within finds the boxes below any path by bisection.
+    sorted.
     """
     return [path for path, g in subformula_occurrences(f) if isinstance(g, Box)]
 
 
-def boxes_within(occ: list[tuple[int, ...]], path: tuple[int, ...]) -> range:
-    """Indices into occ = box_occurrences(f) of the boxes at or below path.
-
-    These are the paths that extend path; in the sorted list they form the
-    run from path up to path + (2,), which no child index reaches.  For a box
-    at index i the range starts at i, so range[1:] are the boxes inside it.
-    """
-    return range(bisect_left(occ, path), bisect_left(occ, path + (2,)))
+def box_children(f: Formula) -> list[list[int]]:
+    """For each box of f, in box_occurrences order, the indices of the boxes
+    directly inside it (no box between); a child's index exceeds its box's."""
+    out: list[list[int]] = []
+    stack = [(f, [])]  # (node, the child list of the nearest box above it)
+    pop, push = stack.pop, stack.append
+    while stack:
+        g, kids = pop()
+        cls = g.__class__
+        if cls is Box:
+            kids.append(len(out))
+            out.append([])
+            push((g.sub, out[-1]))
+        elif cls is Neg:
+            push((g.sub, kids))
+        elif cls is And or cls is Or or cls is Imp:
+            push((g.right, kids))
+            push((g.left, kids))
+    return out
 
 
 def count_boxes(f: Formula) -> int:

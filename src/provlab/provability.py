@@ -4,11 +4,12 @@ A witness assigns one natural number per box occurrence, in the left-to-right
 outermost-first order of box_occurrences; each box's number must strictly
 exceed every number assigned inside its scope.  The K4-to-GL translation is
 based on a sequence with the same validity condition, so one notion of
-ordered sequence serves both.  Which boxes lie inside a box is read from
-formulas.boxes_within, a slice of that sorted order.  interpret and
-translate_k4_to_gl read their sequence from the end, as formulas.fold meets
-the boxes last first.  witness_check stays a recursive walk of its own on
-purpose: it is the independent check of translation_valid.
+ordered sequence serves both.  Which boxes lie directly inside a box is read
+from formulas.box_children; as > is transitive, a box that exceeds those
+exceeds every box in its scope.  interpret and translate_k4_to_gl read their
+sequence from the end, as formulas.fold meets the boxes last first.
+witness_check stays a recursive walk of its own on purpose: it is the
+independent check of translation_valid.
 
 Interpretations are rendered purely symbolically: atoms become opaque
 substituted sentences and each box becomes an indexed provability operator
@@ -34,8 +35,7 @@ from .formulas import (
     RESERVED_ATOM_RE,
     Top,
     atoms,
-    box_occurrences,
-    boxes_within,
+    box_children,
     count_boxes,
     fold,
     print_formula,
@@ -100,22 +100,19 @@ def translation_valid(t: Witness, f: Formula) -> bool:
     this coincides with the witness condition (one campaign in the test suite
     confirms the two validators agree).
     """
-    occ = box_occurrences(f)
-    if len(t) != len(occ):
-        raise WitnessLengthError(f"translation length {len(t)} != {len(occ)} box occurrences")
-    for i, path in enumerate(occ):
-        if any(t[i] <= t[j] for j in boxes_within(occ, path)[1:]):
-            return False
-    return True
+    inside = box_children(f)
+    if len(t) != len(inside):
+        raise WitnessLengthError(f"translation length {len(t)} != {len(inside)} box occurrences")
+    return all(t[i] > t[j] for i, kids in enumerate(inside) for j in kids)
 
 
 def canonical_witness(f: Formula, start: int = 0) -> Witness:
     """Witness each box by the nesting depth of its scope plus start."""
-    occ = box_occurrences(f)
-    depth = [0] * len(occ)
-    # innermost first: a scope's depth is one more than the deepest scope inside it
-    for i in reversed(range(len(occ))):
-        depth[i] = max((depth[j] + 1 for j in boxes_within(occ, occ[i])[1:]), default=0)
+    inside = box_children(f)
+    depth = [0] * len(inside)
+    # innermost first: a scope's depth is one more than the deepest scope directly inside it
+    for i in reversed(range(len(inside))):
+        depth[i] = max((depth[j] + 1 for j in inside[i]), default=0)
     return tuple(d + start for d in depth)
 
 

@@ -484,9 +484,13 @@ def _search(logic: Logic, s: Sequent, budget: Budget) -> tuple[_SearchState, Seq
     return st, s, norm, proof
 
 
-def search_provable(logic: Logic, s: Sequent, budget: Budget | None = None) -> bool:
-    """Verdict-only search, without countermodel extraction (raises BudgetExhausted)."""
-    return _search(logic, s, budget if budget is not None else Budget())[3] is not None
+def search_provable(logic: Logic, s: Sequent, budget: Budget | None = None) -> bool | None:
+    """Verdict-only search, without countermodel extraction: True or False, or
+    None when the budget runs out (the three-valued verdict of PropVerdict.provable)."""
+    try:
+        return _search(logic, s, budget if budget is not None else Budget())[3] is not None
+    except BudgetExhausted:
+        return None
 
 
 def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .formulas import Box, Formula, box_occurrences, boxes_within, children, subformula_occurrences
+from .formulas import Box, Formula, children, subformula_occurrences
 # check is unused here; kept because the benchmark's tracer wraps provlab.unwind.check
 from .kripke import FrameViolationError, K4_FRAME, Force, KripkeModel, _force, check, validate_frame
 from .provability import (
@@ -44,11 +44,14 @@ def t_complexity(a: Formula, t: Witness) -> dict[tuple[int, ...], int]:
     because structurally equal occurrences can carry different numbers."""
     if not translation_valid(t, a):
         raise InvalidWitnessError(f"{t} is not a valid translation for the formula")
-    occ = box_occurrences(a)
-    return {
-        path: max((t[i] for i in boxes_within(occ, path)), default=-1)
-        for path, _ in subformula_occurrences(a)
-    }
+    # children before parents, so the boxes come last first; t is valid, so a
+    # box's own number is the largest in its scope
+    numbers = reversed(t)
+    comp: dict[tuple[int, ...], int] = {}
+    for path, g in reversed(list(subformula_occurrences(a))):
+        comp[path] = next(numbers) if g.__class__ is Box else max(
+            (comp[path + (i,)] for i in range(len(children(g)))), default=-1)
+    return comp
 
 
 def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel, StandIns, Formula, Force, Force]:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from provlab.budget import Budget
 from provlab.cli import main
 from provlab.formulas import FormulaSyntaxError, parse_modal
 
@@ -232,3 +233,30 @@ def test_cli_outputs_are_pinned(tmp_path, capsys, case):
     out = capsys.readouterr().out
     body = out + "\n--dot--\n" + (dot.read_text() if dot.exists() else "-")
     assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def test_countermodel_reports_an_exhausted_budget(monkeypatch, capsys):
+    # K4 proves axiom 4, so the search runs through every model until the budget ends
+    monkeypatch.setattr("provlab.cli._budget", lambda args: Budget(models=10))
+    assert main(["countermodel", "--class", "k4", "[]p -> [][]p"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["countermodel"] is None
+    assert payload["reason"] == "countermodel budget exhausted (10 models)"
+    assert captured.err.splitlines() == [payload["reason"]]
+    assert main(["countermodel", "--class", "k4", "--json", "[]p -> [][]p"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == payload and captured.err == ""
+
+
+DEEP = 10_000
+
+
+@pytest.mark.parametrize("shape", ["~" * DEEP + "p", "[]" * DEEP + "p", "p -> (" * DEEP + "p" + ")" * DEEP],
+                         ids=["neg", "box", "imp"])
+@pytest.mark.parametrize("command", [["prove", "--logic", "k4"], ["prove", "--logic", "ipc"],
+                                     ["countermodel", "--class", "k4"], ["translate", "--flavor", "b"],
+                                     ["witness", "canonical"], ["render", "--witness", ""]],
+                         ids=["prove-k4", "prove-ipc", "countermodel", "translate", "witness", "render"])
+def test_deep_formula_exits_2(capsys, command, shape):
+    assert bad_input(capsys, *command, shape) == "formula nested too deeply for this command"

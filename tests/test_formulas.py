@@ -22,8 +22,8 @@ from provlab.formulas import (
     Sequent,
     Top,
     atoms,
+    box_children,
     box_occurrences,
-    boxes_within,
     children,
     conj,
     count_boxes,
@@ -162,13 +162,18 @@ def test_box_occurrences_count_matches_boxes(f):
     assert count_boxes(f) == print_formula(f).count("[]")
 
 
-def test_boxes_within_is_the_prefix_definition():
+def test_box_children_is_the_prefix_definition():
+    def below(outer, inner):
+        return len(inner) > len(outer) and inner[: len(outer)] == outer
+
     for f in generate_corpus(DEFAULT_PARAMS).formulas:
         occ = box_occurrences(f)
         assert occ == sorted(occ)
-        for path, _ in subformula_occurrences(f):
-            prefixed = [i for i, bp in enumerate(occ) if bp[: len(path)] == path]
-            assert list(boxes_within(occ, path)) == prefixed
+        # j is directly inside i: its path extends i's, and no box's path lies between
+        direct = [[j for j, inner in enumerate(occ)
+                   if below(outer, inner) and not any(below(outer, mid) and below(mid, inner) for mid in occ)]
+                  for outer in occ]
+        assert box_children(f) == direct
 
 
 def test_box_walks_do_not_recurse():

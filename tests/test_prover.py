@@ -216,6 +216,13 @@ def test_search_provable_matches_prove(f, logic):
         assert search_provable(logic, s) == isinstance(res, Provable)
 
 
+def test_search_provable_is_none_when_the_budget_runs_out():
+    s = Sequent((), (parse_modal("[]([]p -> p) -> []p"),))
+    assert search_provable(Logic.GL, s) is True
+    assert search_provable(Logic.GL, s, Budget(steps=3)) is None
+    assert isinstance(prove(Logic.GL, s, Budget(steps=3)), Exhausted)
+
+
 def test_normalize_top_keeps_top_free_nodes():
     f = parse_modal("[](p -> q) /\\ ~p")
     assert normalize_top(f) is f
