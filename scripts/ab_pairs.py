@@ -83,8 +83,8 @@ def reading(b: list[float], t: list[float], higher: bool, bound: float) -> str:
         return "better"
     if bm and (b3 - b1) / bm > bound:
         return "unresolved"
-    worse = (statistics.median(t) - bm) / bm if bm else 0.0
-    return "WORSE beyond bound" if (-worse if higher else worse) > bound else "within bound"
+    change = (statistics.median(t) - bm) / bm if bm else 0.0
+    return "WORSE beyond bound" if (-change if higher else change) > bound else "within bound"
 
 
 def main() -> int:

@@ -169,7 +169,7 @@ def test_box_children_is_the_prefix_definition():
     for f in generate_corpus(DEFAULT_PARAMS).formulas:
         occ = box_occurrences(f)
         assert occ == sorted(occ)
-        # j is directly inside i: its path extends i's, and no box's path lies between
+        # inner is directly inside outer: its path extends outer's, and no box's path lies between
         direct = [[j for j, inner in enumerate(occ)
                    if below(outer, inner) and not any(below(outer, mid) and below(mid, inner) for mid in occ)]
                   for outer in occ]
