@@ -345,6 +345,40 @@ def test_frame_lists_are_pinned():
     assert h.hexdigest() == FRAME_LISTS_DIGEST
 
 
+# sha256 of every field of the frame lists that the workloads and the CLI's
+# default bound reach: modal classes up to 6 nodes, propositional flavors up to 5.
+FRAME_FIELDS_DIGEST = "45d7d546858a45ab377bc7d8f8a46a7eb56786fc27a598a2f255660e68a79a28"
+
+
+def test_frame_fields_are_pinned():
+    modal = [K4_FRAME, KD4_FRAME, S4_FRAME, GL_FRAME]
+    sizes = [(fc, n) for fc in modal for n in range(1, 7)] + [
+        (int_frame(fl), n) for fl in ("BPC", "IPC", "FPL", "MPC", "CPC") for n in range(1, 6)]
+    h = hashlib.sha256()
+    for fc, n in sizes:
+        h.update(repr((str(fc), n, [(fr.bitmask, fr.clusters, fr.succ_masks)
+                                    for fr in frames_of_size(fc, n)])).encode())
+    assert h.hexdigest() == FRAME_FIELDS_DIGEST
+
+
+def test_frame_fields_follow_the_relation():
+    # naturally labeled posets on n points, OEIS A006455
+    assert [len(frames_of_size(GL_FRAME, n)) for n in range(1, 7)] == [1, 2, 7, 40, 357, 4824]
+    sizes = [(fc, 5) for fc in (K4_FRAME, KD4_FRAME, S4_FRAME, GL_FRAME)] + [
+        (int_frame(fl), 4) for fl in ("BPC", "IPC", "FPL", "MPC", "CPC")]
+    for fc, max_nodes in sizes:
+        for n in range(1, max_nodes + 1):
+            for fr in frames_of_size(fc, n):
+                rel = fr.rel
+                assert fr.bitmask == sum(1 << (a * n + b) for a, b in rel)
+                assert fr.succ_masks == tuple(sum(1 << b for b in range(n) if (a, b) in rel) for a in range(n))
+                classes = []
+                for k in range(n):
+                    if not any(k in c for c in classes):
+                        classes.append(tuple(m for m in range(n) if m == k or {(k, m), (m, k)} <= rel))
+                assert fr.clusters == tuple(classes), (fc, fr)
+
+
 def test_isomorphism_class_counts():
     counts = {fc.kind: len(rooted_frames_of_size(fc, 6)) for fc in (K4_FRAME, GL_FRAME, KD4_FRAME, S4_FRAME)}
     assert counts == {"K4": 1606, "GL": 63, "KD4": 498, "S4": 108}
