@@ -10,10 +10,14 @@ one process at a time; the side that runs first alternates from pair to pair.
 The last line of each run's output is its JSON result.
 
 --items N runs exactly N units on each side instead of a fixed time, so that
-`peak_rss_mb` compares equal work.  In a fixed-time run the harness's own
-records grow by about 67 bytes per completed item (one latency and one token
-per item, and the end-of-run statistics), so a faster tree completes more
-items and reads a higher peak for that reason alone.
+`peak_rss_mb` compares equal work.  N counts units, not items: a unit is one
+item on modal-evidence and unwind-transfer, but one pass of 8 sweeps (4000
+items) on oracle-sweep, so one N does not size equal work across workloads.
+The summary line prints each side's median `attempted` items per run.  In a
+fixed-time run the harness's own records grow by about 67 bytes per
+completed item (one latency and one token per item, and the end-of-run
+statistics), so a faster tree completes more items and reads a higher peak
+for that reason alone.
 
 For every end-to-end metric in BENCHMARK.json the script prints each side's
 median and quartiles, the ratio of the medians, the pairs the working tree
@@ -94,7 +98,9 @@ def main() -> int:
     p.add_argument("--pairs", type=int, default=10)
     length = p.add_mutually_exclusive_group()
     length.add_argument("--seconds", type=float, default=25.0)
-    length.add_argument("--items", type=int, default=None, help="run exactly N units instead of --seconds")
+    length.add_argument("--items", type=int, default=None,
+                        help="run exactly N units instead of --seconds; a unit is one item, "
+                             "but one pass of 8 sweeps (4000 items) on oracle-sweep")
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args()
     if args.pairs < 1 or args.seconds <= 0 or (args.items is not None and args.items < 1):
@@ -118,8 +124,10 @@ def main() -> int:
 
     pairs = [(b, t) for b, t in zip(runs["base"], runs["tree"]) if b and t]
     length = f"{args.items} units" if args.items else f"{args.seconds:g} s"
+    attempted = (f"; attempted items per run (median): base {statistics.median(b['attempted'] for b, _ in pairs):g}, "
+                 f"tree {statistics.median(t['attempted'] for _, t in pairs):g}") if pairs else ""
     print(f"{args.workload}, seed {args.seed}, {length} runs, {len(pairs)} of {args.pairs} pairs "
-          f"complete: base {args.base_rev} against the working tree")
+          f"complete: base {args.base_rev} against the working tree{attempted}")
     for m in metrics if pairs else ():
         name, higher = m["name"], m["better"] == "higher"
         b = [r["metrics"][name]["value"] for r, _ in pairs]

@@ -6,11 +6,13 @@ arranged along a strict partial order.  Frames are therefore generated as a
 quotient structure (a strict order, or a rooted tree for the tree-with-cluster
 classes) decorated with cluster sizes and reflexivity flags.  Quotients are
 enumerated in a "naturally labeled" form (node indices are a linear
-extension), which covers every isomorphism class; exact duplicates are
-removed.  ``frames_of_size`` keeps isomorphic copies, and ``enumerate_models``
-streams them all; every countermodel search and validity sweep scans
-``rooted_frames_of_size``, one rooted frame per isomorphism class, through one
-loop, and meets the refutation a scan of every model would meet first.
+extension), which covers every isomorphism class.  Quotients and frames are
+built as successor masks, never as sets of pairs; frames with equal
+adjacency bitmasks are kept once.  ``frames_of_size`` keeps isomorphic
+copies, and ``enumerate_models`` streams them all; every countermodel search
+and validity sweep scans ``rooted_frames_of_size``, one rooted frame per
+isomorphism class, through one loop, and meets the refutation a scan of
+every model would meet first.
 
 Enumeration order is canonical: node count, then adjacency bitmask, then
 valuation bitmask (sorted atoms, first atom in the least significant bits).
@@ -56,22 +58,6 @@ class _Frame:
         return frozenset((a, b) for a, sm in enumerate(self.succ_masks) for b in range(self.n) if sm >> b & 1)
 
 
-def _make_frame(n: int, rel: frozenset[tuple[int, int]]) -> _Frame:
-    succ = [0] * n
-    for a, b in rel:
-        succ[a] |= 1 << b
-    clusters = []
-    done = set()
-    for k in range(n):
-        if k in done:
-            continue
-        c = tuple(sorted({k} | {m for m in range(n) if (k, m) in rel and (m, k) in rel}))
-        clusters.append(c)
-        done.update(c)
-    bitmask = sum(1 << (a * n + b) for a, b in rel)
-    return _Frame(n, tuple(clusters), tuple(succ), bitmask)
-
-
 def _closed_masks(reqs: Sequence[int]) -> list[int]:
     """Subsets of range(len(reqs)), as ascending bitmasks, that hold reqs[x] for each member x."""
     out = []
@@ -87,19 +73,32 @@ def _closed_masks(reqs: Sequence[int]) -> list[int]:
     return out
 
 
-def _strict_orders(m: int) -> list[frozenset[tuple[int, int]]]:
-    """All strict partial orders on range(m) for which 0..m-1 is a linear extension."""
-    out: list[frozenset[tuple[int, int]]] = []
+def _strict_orders(m: int) -> list[tuple[int, ...]]:
+    """All strict partial orders on range(m) for which 0..m-1 is a linear extension.
 
-    def rec(i: int, downs: list[int]):
+    Each order is a tuple of successor masks: bit j of q[x] is set when x < j.
+    Node i goes above each down-closed set of 0..i-1 in ascending order, built
+    from the top element down (a member forces the set below it).
+    """
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, downs: list[int], qsucc: tuple[int, ...]):
         if i == m:
-            rel = frozenset((x, j) for j in range(m) for x in range(j) if downs[j] >> x & 1)
-            out.append(rel)
+            out.append(qsucc)
             return
-        for mask in _closed_masks(downs):
-            rec(i + 1, downs + [mask])
+        sets = [(0, 0)]  # (chosen, forced) over the elements decided so far
+        for x in range(i - 1, -1, -1):
+            bit, below = 1 << x, downs[x]
+            grown = []
+            for s, forced in sets:
+                if not forced & bit:
+                    grown.append((s, forced))
+                grown.append((s | bit, forced | below))
+            sets = grown
+        for mask, _ in sets:
+            rec(i + 1, downs + [mask], tuple(q | (mask >> x & 1) << i for x, q in enumerate(qsucc)) + (0,))
 
-    rec(0, [])
+    rec(0, [], ())
     return out
 
 
@@ -159,59 +158,59 @@ def _class_params(frame_class: FrameClass) -> tuple[str, str, bool]:
     raise ValueError(f"unknown frame class {frame_class!r}")
 
 
-def _quotients(quotient_kind: str, m: int) -> list[frozenset[tuple[int, int]]]:
+def _quotients(quotient_kind: str, m: int) -> list[tuple[int, ...]]:
+    """The quotient strict orders on range(m), each as successor masks."""
     if quotient_kind == "order":
         return _strict_orders(m)
-    rels = []
+    out = []
     for parents in _rooted_trees(m):
-        rel = set()
+        qsucc = [0] * m
         for j in range(m):
             a = parents[j]
             while a >= 0:
-                rel.add((a, j))
+                qsucc[a] |= 1 << j
                 a = parents[a]
-        rels.append(frozenset(rel))
-    return rels
+        out.append(tuple(qsucc))
+    return out
 
 
 @lru_cache(maxsize=None)
 def frames_of_size(frame_class: FrameClass, n: int) -> tuple[_Frame, ...]:
-    """All frames of the class with exactly n nodes, sorted by adjacency bitmask."""
+    """All frames of the class with exactly n nodes, sorted by adjacency bitmask.
+
+    A node of quotient cluster i sees every node of the clusters above i, and
+    its own cluster's nodes when the cluster is reflexive.
+    """
     quotient_kind, cluster_kind, serial = _class_params(frame_class)
     if frame_class.kind == "Int" and frame_class.flavor == "CPC":
-        if n != 1:
-            return ()
-        return (_make_frame(1, frozenset([(0, 0)])),)
+        return (_Frame(1, ((0,),), (1,), 1),) if n == 1 else ()
     found: dict[int, _Frame] = {}
     for m in range(1, n + 1):
         if cluster_kind == "irreflexive" and m != n:
             continue
-        for quot in _quotients(quotient_kind, m):
-            succ_slots = {a for a, _ in quot}
-            for sizes in _compositions(n, m):
-                flag_choices = []
+        quots = _quotients(quotient_kind, m)
+        for sizes in _compositions(n, m):
+            offsets = list(itertools.accumulate(sizes, initial=0))
+            clusters = tuple(tuple(range(offsets[i], offsets[i + 1])) for i in range(m))
+            cmask = [(1 << offsets[i + 1]) - (1 << offsets[i]) for i in range(m)]
+            spread = [sum(1 << a * n for a in c) for c in clusters]  # times a row: that row at each member
+            members = [0]  # members[q]: the nodes of the clusters in quotient mask q
+            for cm in cmask:
+                members += [x | cm for x in members]
+            for qsucc in quots:
+                partial = [((), 0)]  # (rows, packed rows) of the clusters so far, one per flag choice
                 for i, s in enumerate(sizes):
-                    if cluster_kind == "reflexive" or s > 1:
-                        flag_choices.append((True,))
+                    above = members[qsucc[i]]
+                    if cluster_kind == "reflexive" or s > 1 or (serial and not qsucc[i]):
+                        rows = (above | cmask[i],)
                     elif cluster_kind == "irreflexive":
-                        flag_choices.append((False,))
-                    elif serial and i not in succ_slots:
-                        flag_choices.append((True,))
+                        rows = (above,)
                     else:
-                        flag_choices.append((False, True))
-                for flags in itertools.product(*flag_choices):
-                    offsets = [0]
-                    for s in sizes:
-                        offsets.append(offsets[-1] + s)
-                    members = [range(offsets[i], offsets[i + 1]) for i in range(m)]
-                    rel = set()
-                    for i in range(m):
-                        if flags[i]:
-                            rel.update((x, y) for x in members[i] for y in members[i])
-                    for a, b in quot:
-                        rel.update((x, y) for x in members[a] for y in members[b])
-                    fr = _make_frame(n, frozenset(rel))
-                    found.setdefault(fr.bitmask, fr)
+                        rows = (above, above | cmask[i])
+                    partial = [(succ + (r,) * s, bits + r * spread[i]) for succ, bits in partial for r in rows]
+                for succ, bitmask in partial:
+                    if bitmask not in found:
+                        found[bitmask] = _Frame(n, clusters, succ, bitmask)
     return tuple(sorted(found.values(), key=lambda fr: fr.bitmask))
 
 
