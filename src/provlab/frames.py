@@ -77,8 +77,6 @@ def _strict_orders(m: int) -> list[tuple[int, ...]]:
     """All strict partial orders on range(m) for which 0..m-1 is a linear extension.
 
     Each order is a tuple of successor masks: bit j of q[x] is set when x < j.
-    Node i goes above each down-closed set of 0..i-1 in ascending order, built
-    from the top element down (a member forces the set below it).
     """
     out: list[tuple[int, ...]] = []
 
@@ -86,16 +84,7 @@ def _strict_orders(m: int) -> list[tuple[int, ...]]:
         if i == m:
             out.append(qsucc)
             return
-        sets = [(0, 0)]  # (chosen, forced) over the elements decided so far
-        for x in range(i - 1, -1, -1):
-            bit, below = 1 << x, downs[x]
-            grown = []
-            for s, forced in sets:
-                if not forced & bit:
-                    grown.append((s, forced))
-                grown.append((s | bit, forced | below))
-            sets = grown
-        for mask, _ in sets:
+        for mask in _closed_masks(downs):
             rec(i + 1, downs + [mask], tuple(q | (mask >> x & 1) << i for x, q in enumerate(qsucc)) + (0,))
 
     rec(0, [], ())
