@@ -124,8 +124,10 @@ def main() -> int:
 
     pairs = [(b, t) for b, t in zip(runs["base"], runs["tree"]) if b and t]
     length = f"{args.items} units" if args.items else f"{args.seconds:g} s"
-    attempted = (f"; attempted items per run (median): base {statistics.median(b['attempted'] for b, _ in pairs):g}, "
-                 f"tree {statistics.median(t['attempted'] for _, t in pairs):g}") if pairs else ""
+    attempted = ""
+    if pairs:
+        base_n, tree_n = (statistics.median(r[i]["attempted"] for r in pairs) for i in (0, 1))
+        attempted = f"; attempted items per run (median): base {base_n:g}, tree {tree_n:g}"
     print(f"{args.workload}, seed {args.seed}, {length} runs, {len(pairs)} of {args.pairs} pairs "
           f"complete: base {args.base_rev} against the working tree{attempted}")
     for m in metrics if pairs else ():

@@ -196,7 +196,8 @@ def frames_of_size(frame_class: FrameClass, n: int) -> tuple[_Frame, ...]:
                         rows = (above,)
                     else:
                         rows = (above, above | cmask[i])
-                    partial = [(succ + (r,) * s, bits + r * spread[i]) for succ, bits in partial for r in rows]
+                    partial = [(succ + (r,) * s, bits + r * spread[i])
+                               for succ, bits in partial for r in rows]
                 for succ, bitmask in partial:
                     if bitmask not in found:
                         found[bitmask] = _Frame(n, clusters, succ, bitmask)
