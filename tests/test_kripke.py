@@ -1,6 +1,12 @@
+import hashlib
+import json
+import random
+
 import pytest
 
-from provlab.formulas import Atom, BOT, Box, Imp, Neg, Or, parse_modal, parse_prop
+from provlab.corpus import DEFAULT_PARAMS, generate_corpus
+from provlab.formulas import And, Atom, BOT, Bot, Box, Imp, Neg, Or, Top, modal_degree, parse_modal, parse_prop
+from provlab.frames import enumerate_models
 from provlab.kripke import (
     BOT_KEY,
     FrameViolationError,
@@ -203,3 +209,148 @@ def test_dot_export():
     assert '"k0" -> "k1";' in dot
     assert "peripheries=2" in dot
     assert dot.startswith("digraph")
+
+
+# --- forcing, pinned on every small model and checked against a reference ---
+
+def _reference(model, node, f, flavor=None):
+    """Point-wise forcing read straight off the clauses, with no memo: the
+    oracle of the differential test, independent of kripke's checker."""
+    def succ(k):
+        return [m for a, m in sorted(model.relation) if a == k]
+
+    def force(k, g):
+        match g:
+            case Atom(name):
+                return k in model.valuation.get(name, ())
+            case Bot():
+                return flavor == "MPC" and k in model.valuation.get(BOT_KEY, ())
+            case Top():
+                return True
+            case Neg(sub):
+                return not force(k, sub) if flavor is None else force(k, Imp(sub, BOT))
+            case And(l, r):
+                return force(k, l) and force(k, r)
+            case Or(l, r):
+                return force(k, l) or force(k, r)
+            case Imp(l, r) if flavor is None:
+                return not force(k, l) or force(k, r)
+            case Imp(l, r):
+                return all(force(m, r) for m in succ(k) if force(m, l))
+            case Box(sub) if flavor is None:
+                return all(force(m, sub) for m in succ(k))
+        raise TypeError(g)
+
+    return force(node, f)
+
+
+PIN_FLAVORS = ("BPC", "IPC", "FPL", "MPC")
+
+
+def _pin_formulas():
+    corpus = generate_corpus(DEFAULT_PARAMS).formulas
+    box_free = [f for f in corpus if modal_degree(f) == 0]
+    return corpus[::125], box_free[::365]
+
+
+def _int_models(flavor, n=3):
+    return enumerate_models(n, int_frame(flavor), ["p", "q"] + ([BOT_KEY] if flavor == "MPC" else []))
+
+
+# sha256 of check at every node of every model of up to 3 nodes over p, q in
+# the K4 class, for 16 default-corpus formulas, then of check_int on the
+# persistent models of up to 3 nodes (bot an atom under MPC) of BPC, IPC, FPL
+# and MPC, for 4 box-free ones; recorded on the point-wise checker.
+FORCING_DIGEST = "beed1db8a493772dbaf71a97a551435ab4da826600072ee8d6b687bad4233dbf"
+FORCING_COUNTS = (35483, 19924, 2814, 2612, 14930)
+
+
+def test_forcing_is_pinned():
+    modal, box_free = _pin_formulas()
+    h = hashlib.sha256()
+    counts = []
+    models = list(enumerate_models(3, K4_FRAME, ["p", "q"]))
+    res = [[check(m, k, f) for m in models for k in m.nodes] for f in modal]
+    counts.append(sum(map(sum, res)))
+    h.update(json.dumps(res).encode())
+    for flavor in PIN_FLAVORS:
+        models = list(_int_models(flavor))
+        res = [[check_int(m, k, f, flavor) for m in models for k in m.nodes] for f in box_free]
+        counts.append(sum(map(sum, res)))
+        h.update(json.dumps(res).encode())
+    assert (h.hexdigest(), tuple(counts)) == (FORCING_DIGEST, FORCING_COUNTS)
+
+
+def test_forcing_matches_a_pointwise_reference():
+    # random graphs (any relation, not only the frame classes) for check; the
+    # persistent models of up to 2 nodes for check_int
+    rng = random.Random(5)
+    corpus = generate_corpus(DEFAULT_PARAMS).formulas
+    box_free = [f for f in corpus if modal_degree(f) == 0]
+    checked = 0
+    for _ in range(150):
+        nodes = tuple(f"n{i}" for i in range(rng.randint(1, 4)))
+        rel = frozenset((a, b) for a in nodes for b in nodes if rng.random() < 0.4)
+        val = {a: frozenset(k for k in nodes if rng.random() < 0.5) for a in ("p", "q")}
+        m = KripkeModel(nodes, rel, val)
+        for f in rng.sample(corpus, 4):
+            for k in nodes:
+                assert check(m, k, f) is _reference(m, k, f)
+                checked += 1
+    for flavor in PIN_FLAVORS:
+        for m in _int_models(flavor, 2):
+            for f in rng.sample(box_free, 3):
+                for k in m.nodes:
+                    assert check_int(m, k, f, flavor) is _reference(m, k, f, flavor)
+                    checked += 1
+    assert checked > 2000
+
+
+# --- frame validation: whole violation lists, content and order ---
+
+def _transitivity_walk(model):
+    """Every (a, b, c) with a R b R c and not a R c, in the order of the
+    successor sets' iteration: the seed's triple walk, kept as the oracle."""
+    return [("transitivity", (a, b, c)) for a in model.nodes for b in model.successors(a)
+            for c in model.successors(b) if (a, c) not in model.relation]
+
+
+def _persistence_walk(model):
+    return [("persistence", (atom, k, m)) for atom, ns in model.valuation.items()
+            for k in ns for m in model.successors(k) if m not in ns]
+
+
+def test_validate_frame_lists_are_pinned():
+    # each node has at most one successor and each atom one node, so that the
+    # order does not depend on how a frozenset iterates
+    chain = KripkeModel(("a", "b", "c", "d"), frozenset({("a", "b"), ("b", "c"), ("c", "d")}),
+                        {"p": frozenset({"a"}), "q": frozenset({"c"})})
+    assert validate_frame(chain, GL_FRAME) == [
+        ("transitivity", ("a", "b", "c")), ("transitivity", ("b", "c", "d"))]
+    assert validate_frame(chain, int_frame("BPC")) == [
+        ("transitivity", ("a", "b", "c")), ("transitivity", ("b", "c", "d")),
+        ("persistence", ("p", "a", "b")), ("persistence", ("q", "c", "d"))]
+    assert validate_frame(chain, int_frame("IPC")) == validate_frame(chain, int_frame("BPC")) + [
+        ("reflexivity", (k,)) for k in chain.nodes]
+    clustered = KripkeModel(chain.nodes, chain.relation, {},
+                            clusters=tuple(frozenset(k) for k in chain.nodes))
+    assert validate_frame(clustered, KD4_FRAME) == [
+        ("transitivity", ("a", "b", "c")), ("transitivity", ("b", "c", "d")), ("seriality", ("d",))]
+    loop = KripkeModel(("a", "b"), frozenset({("a", "b"), ("b", "a")}), {"p": frozenset({"a"})})
+    assert validate_frame(loop, int_frame("FPL")) == [
+        ("transitivity", ("a", "b", "a")), ("transitivity", ("b", "a", "b")),
+        ("persistence", ("p", "a", "b"))]
+
+
+def test_validate_frame_lists_match_the_triple_walk():
+    rng = random.Random(11)
+    broken = 0
+    for _ in range(300):
+        nodes = tuple(f"n{i}" for i in range(rng.randint(1, 5)))
+        rel = frozenset((a, b) for a in nodes for b in nodes if rng.random() < 0.35)
+        val = {a: frozenset(k for k in nodes if rng.random() < 0.5) for a in ("p", "q")}
+        m = KripkeModel(nodes, rel, val)
+        expected = _transitivity_walk(m) + _persistence_walk(m)
+        assert validate_frame(m, int_frame("BPC")) == expected
+        broken += bool(expected)
+    assert broken > 150
