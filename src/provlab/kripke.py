@@ -1,5 +1,8 @@
 """Finite Kripke models, forcing, and frame-class validation.
 
+Forcing, the naive reference checker, computes each subformula's set of
+forcing nodes by the clauses on node sets, and keeps it per model (see _force).
+
 Frame classes:
   - K4Frame:  transitive tree with clusters (each cluster a singleton
     irreflexive node or a set of mutually related reflexive nodes, with a
@@ -16,7 +19,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .formulas import BOT, And, Atom, Bot, Box, Formula, Imp, Neg, Or, Top
+from .formulas import And, Atom, Bot, Box, Formula, Neg, Or, Top, preorder
 
 # Valuation key for the falsum extension in MPC models, where bot behaves
 # like an ordinary persistent atom.
@@ -24,7 +27,7 @@ BOT_KEY = "bot"
 
 INT_FLAVORS = ("BPC", "IPC", "MPC", "FPL", "CPC")
 
-Force = Callable[[str, Formula], bool]  # a forcing test force(node, f), see _force
+Extension = Callable[[Formula], frozenset[str]]  # ext(f): the nodes forcing f, see _force
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,9 @@ class KripkeModel:
 
 def check(model: KripkeModel, node: str, f: Formula) -> bool:
     """Classical forcing: boolean clauses at the node, Box quantifies over successors."""
-    return _force(model, None)(node, f)
+    if node not in model._succ:
+        raise UnknownNodeError(node)
+    return node in _force(model, None)(f)
 
 
 def check_int(model: KripkeModel, node: str, f: Formula, flavor: str) -> bool:
@@ -166,58 +171,63 @@ def check_int(model: KripkeModel, node: str, f: Formula, flavor: str) -> bool:
     Imp(A, B) holds at k iff every successor forcing A forces B; on the
     reflexive flavors (IPC/MPC/CPC) this subsumes the local clause.  bot is
     everywhere-false except under MPC, where it reads the persistent BOT_KEY
-    extension.  Negation evaluates as A -> bot.
+    extension.  Negation evaluates as A -> bot.  TypeError if f has a box.
     """
     violations = validate_frame(model, int_frame(flavor))
     if violations:
         raise FrameViolationError(violations)
-    return _force(model, flavor)(node, f)
+    if node not in model._succ:
+        raise UnknownNodeError(node)
+    return node in _force(model, flavor)(f)
 
 
-def _force(model: KripkeModel, flavor: str | None) -> Force:
-    """The naive reference checker: classical forcing when flavor is None, else
-    persistent forcing for that flavor (see check and check_int).  One memo per
-    model, shared by every question the returned force(node, f) is asked."""
-    memo: dict[tuple[str, Formula], bool] = {}
-    classical = flavor is None
+def _force(model: KripkeModel, flavor: str | None) -> Extension:
+    """The naive reference checker, by truth sets: ext(f) is the frozenset of
+    the nodes that force f, classically when flavor is None, else persistently
+    for that flavor (see check and check_int).  Each set is computed from its
+    children's by the clause of its connective, children first over
+    formulas.preorder with a stack of values, so no depth recurses; one memo
+    per model keeps every compound subformula's set for later questions."""
+    memo: dict[Formula, frozenset[str]] = {}
+    valuation, order, nodes, succ = model.valuation, model.nodes, frozenset(model.nodes), model._succ
+    empty: frozenset[str] = frozenset()
+    bot = valuation.get(BOT_KEY, empty) if flavor == "MPC" else empty
 
-    def go(k: str, g: Formula) -> bool:
-        key = (k, g)
-        if key in memo:
-            return memo[key]
-        match g:
-            case Atom(name):
-                v = model.holds(name, k)
-            case Bot():
-                v = flavor == "MPC" and model.holds(BOT_KEY, k)
-            case Top():
-                v = True
-            case Neg(sub):
-                v = (not go(k, sub)) if classical else go(k, Imp(sub, BOT))
-            case And(l, r):
-                v = go(k, l) and go(k, r)
-            case Or(l, r):
-                v = go(k, l) or go(k, r)
-            case Imp(l, r):
-                if classical:
-                    v = (not go(k, l)) or go(k, r)
-                else:  # persistent: every successor forcing l forces r
-                    v = all(go(m, r) for m in model.successors(k) if go(m, l))
-            case Box(sub):
-                if not classical:
+    def ext(f: Formula) -> frozenset[str]:
+        if f in memo:
+            return memo[f]
+        vals: list[frozenset[str]] = []
+        pop, push = vals.pop, vals.append
+        for g in reversed(preorder(f)):
+            cls = g.__class__
+            if cls is Atom:
+                push(valuation.get(g.name, empty))
+                continue
+            if cls is Bot or cls is Top:
+                push(bot if cls is Bot else nodes)
+                continue
+            if cls is And:
+                v = pop() & pop()
+            elif cls is Or:
+                v = pop() | pop()
+            elif cls is Box:
+                if flavor is not None:
                     raise TypeError("box is not part of the propositional language")
-                v = all(go(m, sub) for m in model.successors(k))
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-        memo[key] = v
-        return v
+                a = pop()
+                v = frozenset(k for k in order if succ[k] <= a)
+            else:  # Imp, or Neg read as A -> bot; persistently: no successor forces A and fails B
+                a = pop()  # the left child's value is on top
+                b = bot if cls is Neg else pop()
+                if flavor is None:
+                    v = (nodes - a) | b
+                else:
+                    fails = a - b
+                    v = frozenset(k for k in order if succ[k].isdisjoint(fails))
+            push(v)
+            memo[g] = v
+        return vals[0]
 
-    def force(node: str, f: Formula) -> bool:
-        if node not in model._succ:
-            raise UnknownNodeError(node)
-        return go(node, f)
-
-    return force
+    return ext
 
 
 Violation = tuple[str, tuple]
@@ -239,12 +249,14 @@ def _basic_violations(model: KripkeModel) -> list[Violation]:
 
 
 def _transitivity_violations(model: KripkeModel) -> list[Violation]:
+    """Each (a, b, c) with a R b R c but not a R c; the triples are walked only
+    where b's successors are not a's."""
     out = []
+    succ = model._succ
     for a in model.nodes:
-        for b in model.successors(a):
-            for c in model.successors(b):
-                if (a, c) not in model.relation:
-                    out.append(("transitivity", (a, b, c)))
+        for b in succ[a]:
+            if not succ[b] <= succ[a]:
+                out += [("transitivity", (a, b, c)) for c in succ[b] if c not in succ[a]]
     return out
 
 
@@ -317,9 +329,8 @@ def _persistence_violations(model: KripkeModel) -> list[Violation]:
     out = []
     for atom, ns in model.valuation.items():
         for k in ns:
-            for m in model.successors(k):
-                if m not in ns:
-                    out.append(("persistence", (atom, k, m)))
+            if not model.successors(k) <= ns:
+                out += [("persistence", (atom, k, m)) for m in model.successors(k) if m not in ns]
     return out
 
 

@@ -9,8 +9,9 @@ The result validates the GL frame class and transfers truth: a node
 satisfying A maps to nodes satisfying the translated formula.
 
 unwind, verify_transfer and claim2_holds share one cached unwinding per
-(model, formula, translation), with the translation and one naive-forcing memo
-per model; keyed by the model's identity, it relies on models being immutable.
+(model, formula, translation), with the translation, one naive truth-set memo
+per model, and each node's stand-ins per length bound as one node set; keyed
+by the model's identity, it relies on models being immutable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import itertools
 
 from .formulas import Box, Formula, children, subformula_occurrences
 # check is unused here; kept because the benchmark's tracer wraps provlab.unwind.check
-from .kripke import FrameViolationError, K4_FRAME, Force, KripkeModel, _force, check, validate_frame
+from .kripke import (FrameViolationError, K4_FRAME, Extension, KripkeModel, UnknownNodeError, _force, check,
+                     validate_frame)
 from .provability import (
     InvalidWitnessError,
     ReservedAtomCollision,
@@ -54,9 +56,10 @@ def t_complexity(a: Formula, t: Witness) -> dict[tuple[int, ...], int]:
     return comp
 
 
-def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel, StandIns, Formula, Force, Force]:
+def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel, StandIns, Formula, Extension, Extension, dict]:
     """The unwound model and every original node's stand-ins, from one path table,
-    a's translation, and one forcing test on each model; the latest is cached."""
+    a's translation, one truth-set function on each model, and an empty cache
+    of stand-in sets keyed (node, bound); the latest is cached."""
     global _latest
     if _latest[0] is model and _latest[1] == a and _latest[2] == t:
         return _latest[3]
@@ -104,7 +107,7 @@ def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel,
 
     stand_ins = {k: [(len(p), name) for p, name in table[cluster_of[k]] if p[-1] == k] for k in model.nodes}
     unw = KripkeModel(tuple(name for _, name in rows), frozenset(rel), valuation, clusters=None)
-    entry = (unw, stand_ins, translate_k4_to_gl(a, t), _force(model, None), _force(unw, None))
+    entry = (unw, stand_ins, translate_k4_to_gl(a, t), _force(model, None), _force(unw, None), {})
     _latest = (model, a, t, entry)
     return entry
 
@@ -115,15 +118,17 @@ def unwind(model: KripkeModel, a: Formula, t: Witness) -> KripkeModel:
     return _unwinding(model, a, t)[0]
 
 
-def _agrees(force: Force, force_unw: Force, stand_ins: StandIns, b: Formula, translated: Formula,
-            bound: int, nodes: tuple[str, ...]) -> bool:
-    """Each of nodes agrees about b (by force) with its unwound stand-ins of
-    length <= bound about translated (by force_unw)."""
+def _agrees(entry: tuple, b: Formula, translated: Formula, bound: int, nodes: tuple[str, ...]) -> bool:
+    """Each of nodes agrees about b with its unwound stand-ins of length <=
+    bound about translated: all of them force it, or none does."""
+    _, stand_ins, _, ext, ext_unw, standing = entry
+    truth, truth_unw = ext(b), ext_unw(translated)
     for node in nodes:
-        truth = force(node, b)
-        for length, name in stand_ins[node]:
-            if length <= bound and force_unw(name, translated) != truth:
-                return False
+        names = standing.get((node, bound))
+        if names is None:
+            names = standing[node, bound] = frozenset(name for length, name in stand_ins[node] if length <= bound)
+        if not (names <= truth_unw if node in truth else names.isdisjoint(truth_unw)):
+            return False
     return True
 
 
@@ -134,8 +139,10 @@ def verify_transfer(model: KripkeModel, a: Formula, t: Witness, node: str) -> bo
     This is claim2_holds at the root occurrence, whose complexity is max(t) = n,
     so the stand-ins are those of length n + 1 - n = 1.
     """
-    _, stand_ins, translated, force, force_unw = _unwinding(model, a, t)
-    return _agrees(force, force_unw, stand_ins, a, translated, 1, (node,))
+    entry = _unwinding(model, a, t)
+    if node not in entry[1]:
+        raise UnknownNodeError(node)
+    return _agrees(entry, a, entry[2], 1, (node,))
 
 
 def claim2_holds(model: KripkeModel, a: Formula, t: Witness) -> bool:
@@ -144,12 +151,12 @@ def claim2_holds(model: KripkeModel, a: Formula, t: Witness) -> bool:
 
     a is translated once: B's translation is the subterm at B's path, read
     through each Box(q0 /\\ ... /\\ qm -> B') at its implication's right."""
-    _, stand_ins, translated, force, force_unw = _unwinding(model, a, t)
+    entry = _unwinding(model, a, t)
     complexity = t_complexity(a, t)  # at the root, n = max(t)
     for path, b in subformula_occurrences(a):
-        tb = translated
+        tb = entry[2]
         for i in path:
             tb = tb.sub.right if isinstance(tb, Box) else children(tb)[i]
-        if not _agrees(force, force_unw, stand_ins, b, tb, complexity[()] + 1 - complexity[path], model.nodes):
+        if not _agrees(entry, b, tb, complexity[()] + 1 - complexity[path], model.nodes):
             return False
     return True

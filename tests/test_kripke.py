@@ -75,6 +75,30 @@ def test_check_int_rejects_box():
         check_int(single_reflexive(), "k", Box(p), "IPC")
 
 
+def test_check_int_rejects_any_formula_with_a_box():
+    # the box is rejected wherever it stands, also where the node's truth
+    # would not depend on it: p holds at k, so p \/ []q would read true
+    m = single_reflexive(p={"k"})
+    for text in ("p \\/ []q", "[]q -> p", "~~[]q /\\ p"):
+        with pytest.raises(TypeError):
+            check_int(m, "k", parse_modal(text), "IPC")
+
+
+def test_forcing_returns_on_deep_formulas():
+    m = KripkeModel(("k", "l"), frozenset({("k", "k"), ("k", "l"), ("l", "l")}), {"p": frozenset({"l"})})
+    boxes, negs, imps = p, p, p
+    for _ in range(5000):
+        boxes, negs, imps = Box(boxes), Neg(negs), Imp(p, imps)
+    assert check(m, "k", boxes) is False and check(m, "l", boxes) is True
+    assert check(m, "l", negs) is True
+    assert check(m, "k", imps) is True
+    for flavor in ("IPC", "BPC"):
+        # 5000 negations read as two: no node forces ~p, so ~~p holds everywhere
+        assert check_int(m, "k", negs, flavor) is True
+        assert check_int(m, "k", Neg(negs), flavor) is False
+        assert check_int(m, "k", imps, flavor) is True
+
+
 def test_check_int_mpc_bot_forcing_node():
     # the MPC/IPC separation witness: a single reflexive node forcing
     # bot but not p refutes bot -> p under MPC

@@ -13,6 +13,7 @@ from provlab.kripke import (
     GL_FRAME,
     K4_FRAME,
     KripkeModel,
+    UnknownNodeError,
     check,
     validate_frame,
 )
@@ -202,6 +203,8 @@ def test_cached_unwinding_is_keyed_by_model_formula_and_translation():
 def test_verify_transfer_reflexive_example():
     m = reflexive_point(p_true=True)
     assert verify_transfer(m, Box(p), (0,), "k") is True
+    with pytest.raises(UnknownNodeError):
+        verify_transfer(m, Box(p), (0,), "zz")
 
 
 def test_verify_transfer_vacuous_boxes():
