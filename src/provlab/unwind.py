@@ -140,7 +140,7 @@ def verify_transfer(model: KripkeModel, a: Formula, t: Witness, node: str) -> bo
     so the stand-ins are those of length n + 1 - n = 1.
     """
     entry = _unwinding(model, a, t)
-    if node not in entry[1]:
+    if node not in model._succ:
         raise UnknownNodeError(node)
     return _agrees(entry, a, entry[2], 1, (node,))
 
