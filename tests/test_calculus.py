@@ -1,5 +1,7 @@
 import hashlib
 
+import pytest
+
 from provlab.calculus import Derivation, Logic, check_derivation, diagnose_derivation
 from provlab.corpus import DEFAULT_PARAMS, generate_corpus
 from provlab.formulas import Atom, BOT, And, Box, Imp, Neg, Or, Sequent
@@ -93,6 +95,45 @@ def test_andr_context_split():
         leaf([q], [q], "Axiom-Id"),
     )
     assert check_derivation(Logic.K4, d)
+
+
+r, s = Atom("r"), Atom("s")
+
+
+def _p_with(*extra):
+    # p, *extra => p: Axiom-Id, then wL once per extra formula
+    d = leaf([p], [p], "Axiom-Id")
+    for i in range(1, len(extra) + 1):
+        d = node([p, *extra[:i]], [p], "wL", d)
+    return d
+
+
+# The two-premise rules that split the context: all of it goes to the first
+# premise.  Then r is moved from the first premise's antecedent to the second
+# premise's succedent, and the active formula is dropped from one premise (a
+# variant that the multiset sums alone would accept).
+@pytest.mark.parametrize("rule,concl,split,moved,missing", [
+    ("OrL", ([Or(p, q), r, s], [p, q]),
+     (_p_with(r, s), leaf([q], [q], "Axiom-Id")),
+     (_p_with(s), leaf([q], [q, r], "Axiom-Id")),
+     (leaf([r, s], [p], "Axiom-Id"), leaf([q], [q], "Axiom-Id"))),
+    ("ImpL", ([Imp(p, q), p, r, s], [q]),
+     (_p_with(r, s), leaf([q], [q], "Axiom-Id")),
+     (_p_with(s), leaf([q], [q, r], "Axiom-Id")),
+     (_p_with(r, s), leaf([], [q], "Axiom-Id"))),
+    ("cut", ([p, r, s], [p]),
+     (_p_with(r, s), leaf([p], [p], "Axiom-Id")),
+     (_p_with(s), leaf([p], [p, r], "Axiom-Id")),
+     (_p_with(r, s), leaf([], [p], "Axiom-Id"))),
+], ids=["OrL", "ImpL", "cut"])
+def test_two_premise_context_split(rule, concl, split, moved, missing):
+    ante, succ = concl
+    assert diagnose_derivation(Logic.K4, node(ante, succ, rule, *split)) is None
+    want = {"OrL": "OrL instance does not match (at []: p \\/ q, r, s => p, q)",
+            "ImpL": "ImpL instance does not match (at []: p -> q, p, r, s => q)",
+            "cut": "cut formula not found (at []: p, r, s => p)"}[rule]
+    assert diagnose_derivation(Logic.K4, node(ante, succ, rule, *moved)) == want
+    assert diagnose_derivation(Logic.K4, node(ante, succ, rule, *missing)) == want
 
 
 def test_boxdr_shape():
