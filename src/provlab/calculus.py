@@ -13,6 +13,13 @@ Per logic, the admitted rules are the axioms, structural rules (including
 cut, which the prover never emits) and propositional rules, plus:
   K4:  Box4R            KD4: Box4R, BoxDR
   S4:  BoxSR, BoxL      GL:  GLR
+
+Each rule is stated once, as a row of a table written from the calculus (never
+from the prover's own rule tables, which this module checks): ONE_PREMISE
+gives a rule's principal formula and a test of its premise, SPLIT the active
+formulas of the rules whose two premises split the context, and ARITY every
+rule's premise count.  The axioms and right box rules read the whole
+antecedent and stay explicit code.
 """
 
 from __future__ import annotations
@@ -104,212 +111,120 @@ def _unboxed(c: dict) -> dict | None:
     return inner
 
 
-def _rule_error(rule: str, concl: Sequent, counts: tuple[dict, dict], pas: list[tuple[dict, dict]]) -> str | None:
-    """None if concl (as the multisets counts) over premises pas is an instance of rule, else a reason."""
-    ca, cs = counts
+ANTE, SUCC = 0, 1
 
-    def arity(n: int) -> str | None:
-        if len(pas) != n:
-            return f"{rule} expects {n} premise(s), got {len(pas)}"
+# One-premise rules.  rule: (side of the principal formula f, its connective or
+# None for any formula, whether the premise (pa, ps) is the rule's premise for f
+# in the conclusion (ca, cs), message).  Each test compares the cheap side first.
+ONE_PREMISE = {
+    "wL": (ANTE, None, lambda f, ca, cs, pa, ps: ps == cs and pa == _minus(ca, f),
+           "wL premise must drop one antecedent formula"),
+    "wR": (SUCC, None, lambda f, ca, cs, pa, ps: pa == ca and ps == _minus(cs, f),
+           "wR premise must drop one succedent formula"),
+    "cL": (ANTE, None, lambda f, ca, cs, pa, ps: ps == cs and pa == _plus(ca, f),
+           "cL premise must duplicate one antecedent formula"),
+    "cR": (SUCC, None, lambda f, ca, cs, pa, ps: pa == ca and ps == _plus(cs, f),
+           "cR premise must duplicate one succedent formula"),
+    "AndL": (ANTE, And, lambda f, ca, cs, pa, ps: ps == cs and pa in (_swap(ca, f, f.left), _swap(ca, f, f.right)),
+             "AndL instance does not match"),
+    "OrR": (SUCC, Or, lambda f, ca, cs, pa, ps: pa == ca and ps in (_swap(cs, f, f.left), _swap(cs, f, f.right)),
+            "OrR instance does not match"),
+    "ImpR": (SUCC, Imp, lambda f, ca, cs, pa, ps: pa == _plus(ca, f.left) and ps == _swap(cs, f, f.right),
+             "ImpR instance does not match"),
+    "NegL": (ANTE, Neg, lambda f, ca, cs, pa, ps: pa == _minus(ca, f) and ps == _plus(cs, f.sub),
+             "NegL instance does not match"),
+    "NegR": (SUCC, Neg, lambda f, ca, cs, pa, ps: ps == _minus(cs, f) and pa == _plus(ca, f.sub),
+             "NegR instance does not match"),
+    "BoxL": (ANTE, Box, lambda f, ca, cs, pa, ps: ps == cs and pa == _swap(ca, f, f.sub),
+             "BoxL instance does not match"),
+}
+
+# Two-premise rules that split the context.  rule: (side of the principal
+# formula f, or None for cut, whose f is a formula of the first premise's
+# succedent and leaves no trace in the conclusion; its connective; each
+# premise's active formula as (side, part of f); message).  Without their
+# active formulas the premises sum to the conclusion without f.
+SPLIT = {
+    "cut": (None, None, ((SUCC, lambda f: f), (ANTE, lambda f: f)), "cut formula not found"),
+    "AndR": (SUCC, And, ((SUCC, lambda f: f.left), (SUCC, lambda f: f.right)), "AndR instance does not match"),
+    "OrL": (ANTE, Or, ((ANTE, lambda f: f.left), (ANTE, lambda f: f.right)), "OrL instance does not match"),
+    "ImpL": (ANTE, Imp, ((SUCC, lambda f: f.left), (ANTE, lambda f: f.right)), "ImpL instance does not match"),
+}
+
+ARITY = {AXIOM_ID: 0, AXIOM_BOT: 0, "Box4R": 1, "BoxDR": 1, "BoxSR": 1, "GLR": 1,
+         **dict.fromkeys(ONE_PREMISE, 1), **dict.fromkeys(SPLIT, 2)}
+
+
+def _swap(c: dict, f: Formula, g: Formula) -> dict:
+    """c with one f replaced by g."""
+    return _plus(_minus(c, f), g)
+
+
+def _without(counts: tuple[dict, dict], side: int, f: Formula) -> tuple[dict, dict] | None:
+    """counts with one f taken from side, or None if side holds no f."""
+    if f not in counts[side]:
         return None
+    return (_minus(counts[0], f), counts[1]) if side == ANTE else (counts[0], _minus(counts[1], f))
 
+
+def _whole_error(rule: str, concl: Sequent, ca: dict, pas: list[tuple[dict, dict]]) -> str | None:
+    """_rule_error for the axioms and the right box rules, which read the whole antecedent."""
     if rule == AXIOM_ID:
-        if err := arity(0):
-            return err
         if len(concl.ante) == 1 and len(concl.succ) == 1 and concl.ante[0] == concl.succ[0]:
             return None
         return "Axiom-Id must be exactly A => A"
-
     if rule == AXIOM_BOT:
-        if err := arity(0):
-            return err
         if concl.ante == (Bot(),) and concl.succ == ():
             return None
         return "Axiom-Bot must be exactly bot =>"
-
-    if rule == "wL":
-        if err := arity(1):
-            return err
-        pa, ps = pas[0]
-        for f in ca:
-            if pa == _minus(ca, f) and ps == cs:
-                return None
-        return "wL premise must drop one antecedent formula"
-
-    if rule == "wR":
-        if err := arity(1):
-            return err
-        pa, ps = pas[0]
-        for f in cs:
-            if ps == _minus(cs, f) and pa == ca:
-                return None
-        return "wR premise must drop one succedent formula"
-
-    if rule == "cL":
-        if err := arity(1):
-            return err
-        pa, ps = pas[0]
-        for f in ca:
-            if pa == _plus(ca, f) and ps == cs:
-                return None
-        return "cL premise must duplicate one antecedent formula"
-
-    if rule == "cR":
-        if err := arity(1):
-            return err
-        pa, ps = pas[0]
-        for f in cs:
-            if ps == _plus(cs, f) and pa == ca:
-                return None
-        return "cR premise must duplicate one succedent formula"
-
-    if rule == "cut":
-        if err := arity(2):
-            return err
-        (p1a, p1s), (p2a, p2s) = pas
-        for f in p1s:
-            if p2a.get(f, 0) >= 1:
-                if ca == _sum(p1a, _minus(p2a, f)) and cs == _sum(_minus(p1s, f), p2s):
-                    return None
-        return "cut formula not found"
-
-    if rule == "AndL":
-        if err := arity(1):
-            return err
-        pa, ps = pas[0]
-        for f in ca:
-            if isinstance(f, And) and ps == cs:
-                rest = _minus(ca, f)
-                if pa in (_plus(rest, f.left), _plus(rest, f.right)):
-                    return None
-        return "AndL instance does not match"
-
-    if rule == "OrR":
-        if err := arity(1):
-            return err
-        pa, ps = pas[0]
-        for f in cs:
-            if isinstance(f, Or) and pa == ca:
-                rest = _minus(cs, f)
-                if ps in (_plus(rest, f.left), _plus(rest, f.right)):
-                    return None
-        return "OrR instance does not match"
-
-    if rule == "AndR":
-        if err := arity(2):
-            return err
-        (p1a, p1s), (p2a, p2s) = pas
-        for f in cs:
-            if isinstance(f, And):
-                if p1s.get(f.left, 0) < 1 or p2s.get(f.right, 0) < 1:
-                    continue
-                if ca == _sum(p1a, p2a) and _minus(cs, f) == _sum(_minus(p1s, f.left), _minus(p2s, f.right)):
-                    return None
-        return "AndR instance does not match"
-
-    if rule == "OrL":
-        if err := arity(2):
-            return err
-        (p1a, p1s), (p2a, p2s) = pas
-        for f in ca:
-            if isinstance(f, Or):
-                if p1a.get(f.left, 0) < 1 or p2a.get(f.right, 0) < 1:
-                    continue
-                if _minus(ca, f) == _sum(_minus(p1a, f.left), _minus(p2a, f.right)) and cs == _sum(p1s, p2s):
-                    return None
-        return "OrL instance does not match"
-
-    if rule == "ImpL":
-        if err := arity(2):
-            return err
-        (p1a, p1s), (p2a, p2s) = pas
-        for f in ca:
-            if isinstance(f, Imp):
-                if p1s.get(f.left, 0) < 1 or p2a.get(f.right, 0) < 1:
-                    continue
-                if _minus(ca, f) == _sum(p1a, _minus(p2a, f.right)) and cs == _sum(_minus(p1s, f.left), p2s):
-                    return None
-        return "ImpL instance does not match"
-
-    if rule == "ImpR":
-        if err := arity(1):
-            return err
-        pa, ps = pas[0]
-        for f in cs:
-            if isinstance(f, Imp):
-                if pa == _plus(ca, f.left) and ps == _plus(_minus(cs, f), f.right):
-                    return None
-        return "ImpR instance does not match"
-
-    if rule == "NegL":
-        if err := arity(1):
-            return err
-        pa, ps = pas[0]
-        for f in ca:
-            if isinstance(f, Neg):
-                if pa == _minus(ca, f) and ps == _plus(cs, f.sub):
-                    return None
-        return "NegL instance does not match"
-
-    if rule == "NegR":
-        if err := arity(1):
-            return err
-        pa, ps = pas[0]
-        for f in cs:
-            if isinstance(f, Neg):
-                if ps == _minus(cs, f) and pa == _plus(ca, f.sub):
-                    return None
-        return "NegR instance does not match"
-
-    if rule in ("Box4R", "BoxSR", "GLR"):
-        if err := arity(1):
-            return err
-        pa, ps = pas[0]
-        inner = _unboxed(ca)
-        if inner is None:
-            return f"{rule} conclusion antecedent must be all boxed"
-        if len(concl.succ) != 1 or not isinstance(concl.succ[0], Box):
-            return f"{rule} conclusion succedent must be a single boxed formula"
-        box_a = concl.succ[0]
-        if ps != {box_a.sub: 1}:
-            return f"{rule} premise succedent must be the unboxed formula"
-        if rule == "Box4R":
-            want = _sum(ca, inner)
-        elif rule == "BoxSR":
-            want = ca
-        else:  # GLR carries the diagonal formula on the left
-            want = _plus(_sum(ca, inner), box_a)
-        if pa == want:
-            return None
-        return f"{rule} premise antecedent does not match"
-
+    pa, ps = pas[0]
+    inner = _unboxed(ca)
+    if inner is None:
+        return f"{rule} conclusion antecedent must be all boxed"
     if rule == "BoxDR":
-        if err := arity(1):
-            return err
-        pa, ps = pas[0]
-        inner = _unboxed(ca)
-        if inner is None:
-            return "BoxDR conclusion antecedent must be all boxed"
         if concl.succ != () or ps:
             return "BoxDR needs empty succedents"
-        if pa == _sum(ca, inner):
-            return None
-        return "BoxDR premise antecedent does not match"
+    else:
+        if len(concl.succ) != 1 or not isinstance(concl.succ[0], Box):
+            return f"{rule} conclusion succedent must be a single boxed formula"
+        if ps != {concl.succ[0].sub: 1}:
+            return f"{rule} premise succedent must be the unboxed formula"
+    want = ca if rule == "BoxSR" else _sum(ca, inner)
+    if rule == "GLR":  # the diagonal formula
+        want = _plus(want, concl.succ[0])
+    if pa == want:
+        return None
+    return f"{rule} premise antecedent does not match"
 
-    if rule == "BoxL":
-        if err := arity(1):
-            return err
+
+def _rule_error(rule: str, concl: Sequent, counts: tuple[dict, dict], pas: list[tuple[dict, dict]]) -> str | None:
+    """None if concl (as the multisets counts) over premises pas is an instance of rule, else a reason."""
+    if len(pas) != ARITY[rule]:
+        return f"{rule} expects {ARITY[rule]} premise(s), got {len(pas)}"
+    ca, cs = counts
+    if rule in ONE_PREMISE:
+        side, conn, test, message = ONE_PREMISE[rule]
         pa, ps = pas[0]
-        for f in ca:
-            if isinstance(f, Box):
-                if pa == _plus(_minus(ca, f), f.sub) and ps == cs:
-                    return None
-        return "BoxL instance does not match"
+        for f in counts[side]:
+            if (conn is None or isinstance(f, conn)) and test(f, ca, cs, pa, ps):
+                return None
+        return message
+    if rule in SPLIT:
+        side, conn, ((side1, part1), (side2, part2)), message = SPLIT[rule]
+        for f in pas[0][SUCC] if side is None else counts[side]:
+            if conn is not None and not isinstance(f, conn):
+                continue
+            rest1, rest2 = _without(pas[0], side1, part1(f)), _without(pas[1], side2, part2(f))
+            if rest1 is None or rest2 is None:
+                continue
+            want = counts if side is None else _without(counts, side, f)
+            if want[ANTE] == _sum(rest1[ANTE], rest2[ANTE]) and want[SUCC] == _sum(rest1[SUCC], rest2[SUCC]):
+                return None
+        return message
+    return _whole_error(rule, concl, ca, pas)
 
-    return f"unknown rule {rule!r}"
 
-
-def diagnose_derivation(logic: Logic, d: Derivation, path: tuple[int, ...] = ()) -> str | None:
+def diagnose_derivation(logic: Logic, d: Derivation) -> str | None:
     """None if d is a correct G(logic) derivation, else a diagnostic naming its first bad node in pre-order."""
     if logic == Logic.GLS:
         raise ValueError("GLS has no sequent calculus; check the reduced GL derivation")
@@ -320,22 +235,22 @@ def diagnose_derivation(logic: Logic, d: Derivation, path: tuple[int, ...] = ())
     while stack:
         d, counts, trail = stack.pop()
         if d.rule not in allowed:
-            return f"rule {d.rule} is not part of G({logic.value}) (at {_path(path, trail)})"
+            return f"rule {d.rule} is not part of G({logic.value}) (at {_path(trail)})"
         pas = [_counts(p) for p in d.premises]
         err = _rule_error(d.rule, d.sequent, counts, pas)
         if err is not None:
-            return f"{err} (at {_path(path, trail)}: {print_sequent(d.sequent)})"
+            return f"{err} (at {_path(trail)}: {print_sequent(d.sequent)})"
         for i in range(len(pas) - 1, -1, -1):
             stack.append((d.premises[i], pas[i], (i, trail)))
     return None
 
 
-def _path(prefix: tuple[int, ...], trail) -> list[int]:
+def _path(trail) -> list[int]:
     out = []
     while trail is not None:
         i, trail = trail
         out.append(i)
-    return list(prefix) + out[::-1]
+    return out[::-1]
 
 
 def check_derivation(logic: Logic, d: Derivation) -> bool:

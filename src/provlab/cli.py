@@ -19,7 +19,8 @@ from .budget import Budget, BudgetExhausted
 from .calculus import Logic
 from .corpus import CorpusParams, generate_corpus
 from .crosscheck import SUITES, run_crosscheck
-from .formulas import FormulaSyntaxError, ReservedAtomError, Sequent, parse_modal, parse_prop, print_formula
+from .formulas import (ATOM_RE, FormulaSyntaxError, ReservedAtomError, Sequent, parse_modal, parse_prop,
+                       print_formula)
 from .frames import find_countermodel
 from .kripke import (
     FrameViolationError,
@@ -167,6 +168,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    if args.max_disjuncts < 1:
+        raise UsageError(f"--max-disjuncts must be at least 1, got {args.max_disjuncts}")
     f = parse_modal(args.formula)
     out = []
     for g in expansions(f, args.max_disjuncts, args.max_size):
@@ -222,8 +225,16 @@ def _cmd_unwind(args) -> int:
 
 
 def _corpus_params(args) -> CorpusParams:
+    atoms = tuple(args.atoms.split(",")) if args.atoms else ("p", "q")
+    for name in atoms:
+        if not ATOM_RE.match(name) or name in ("bot", "top"):
+            raise UsageError(f"--atoms expects comma-separated atom names, got {name!r}")
+    for option in ("max_connectives", "max_degree", "sample"):
+        value = getattr(args, option)
+        if value is not None and value < 0:
+            raise UsageError(f"--{option.replace('_', '-')} must be non-negative, got {value}")
     return CorpusParams(
-        atoms=tuple(args.atoms.split(",")) if args.atoms else ("p", "q"),
+        atoms=atoms,
         max_connectives=args.max_connectives,
         max_degree=args.max_degree,
         sample_size=args.sample,

@@ -1,7 +1,10 @@
+import ast
 import hashlib
+import pathlib
 
 import pytest
 
+import provlab
 from provlab.calculus import Derivation, Logic, check_derivation, diagnose_derivation
 from provlab.corpus import DEFAULT_PARAMS, generate_corpus
 from provlab.formulas import Atom, BOT, And, Box, Imp, Neg, Or, Sequent
@@ -221,3 +224,22 @@ def test_diagnostics_are_pinned():
                 ):
                     h.update(repr(diagnose_derivation(logic, variant)).encode() + b"\n")
     assert h.hexdigest() == DIAGNOSTICS_DIGEST
+
+
+def _provlab_imports(path):
+    """The provlab modules that the module at path imports."""
+    out = set()
+    for n in ast.walk(ast.parse(path.read_text())):
+        if isinstance(n, ast.Import):
+            out |= {a.name.partition(".")[2] or a.name for a in n.names if a.name.split(".")[0] == "provlab"}
+        elif isinstance(n, ast.ImportFrom) and (n.level or (n.module or "").split(".")[0] == "provlab"):
+            module = (n.module or "").removeprefix("provlab").lstrip(".")
+            out |= {module} if module else {a.name for a in n.names}
+    return out
+
+
+@pytest.mark.parametrize("module", ["calculus.py", "kripke.py"])
+def test_checkers_import_only_formulas(module):
+    # the derivation checker and the naive forcing checker stay independent of
+    # the prover's rule tables and the compiled evaluator that they check
+    assert _provlab_imports(pathlib.Path(provlab.__file__).parent / module) == {"formulas"}

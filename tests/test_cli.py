@@ -201,6 +201,21 @@ def test_bad_sigma_exits_2(capsys):
     assert "atom=sentence" in bad_input(capsys, "render", "--witness", "4", "--sigma", "p", "[]p")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["corpus", "--sample", "-1"], "--sample must be non-negative, got -1"),
+    (["corpus", "--max-connectives", "-1"], "--max-connectives must be non-negative, got -1"),
+    (["corpus", "--max-degree", "-1"], "--max-degree must be non-negative, got -1"),
+    (["crosscheck", "t99-bpc", "--sample", "-3"], "--sample must be non-negative, got -3"),
+    (["expand", "--max-disjuncts", "0", "[]p"], "--max-disjuncts must be at least 1, got 0"),
+    (["corpus", "--atoms", "p,,q"], "--atoms expects comma-separated atom names, got ''"),
+    (["corpus", "--atoms", "a_b,X"], "--atoms expects comma-separated atom names, got 'X'"),
+    (["corpus", "--atoms", "p,bot"], "--atoms expects comma-separated atom names, got 'bot'"),
+], ids=["sample", "max-connectives", "max-degree", "crosscheck-sample", "max-disjuncts",
+        "empty-atom", "upper-case-atom", "constant-as-atom"])
+def test_bad_option_values_exit_2(capsys, argv, message):
+    assert bad_input(capsys, *argv) == message
+
+
 UNWIND_MODEL = {"nodes": ["a", "b"], "relation": [["a", "b"], ["b", "b"]],
                 "clusters": [["a"], ["b"]], "valuation": {"p": ["b"]}}
 
