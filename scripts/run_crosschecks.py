@@ -4,8 +4,9 @@
 Usage: python3 scripts/run_crosschecks.py [--out reports] [--quick] [--suites NAME ...]
                                           [--against DIR]
 
---quick shrinks the corpora to 150 formulas for a fast smoke run; the default
-is the full default corpus (2000 formulas, seed 1) and takes a few minutes.
+--quick re-samples each suite's corpus at 150 formulas for a fast smoke run;
+the default runs each suite on its own default corpus (2000 formulas, seed 1)
+and takes a few minutes.
 Each line gives the suite's time and the sha256 of the report it wrote.
 With --against DIR, each report's bytes are also compared with DIR/<suite>.json
 (the reports of an earlier run), and a line per suite says `same` or `DIFFERS`.
@@ -14,6 +15,7 @@ under --against if any report differs.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import pathlib
 import sys
@@ -21,8 +23,8 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from provlab.corpus import BOX_FREE_PARAMS, CorpusParams, DEFAULT_PARAMS, generate_corpus
-from provlab.crosscheck import SUITES, run_crosscheck
+from provlab.corpus import generate_corpus
+from provlab.crosscheck import SUITES, run_crosscheck, suite_params
 
 
 def main() -> int:
@@ -36,17 +38,12 @@ def main() -> int:
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.quick:
-        modal = generate_corpus(CorpusParams(("p", "q"), 7, 3, 150, 1))
-        box_free = generate_corpus(CorpusParams(("p", "q"), 7, 0, 150, 1))
-    else:
-        modal = generate_corpus(DEFAULT_PARAMS)
-        box_free = generate_corpus(BOX_FREE_PARAMS)
-
     failed = []
     differs = []
     for suite in args.suites:
-        corpus = box_free if suite.startswith("t99") else modal
+        corpus = None
+        if args.quick:
+            corpus = generate_corpus(dataclasses.replace(suite_params(suite), sample_size=150))
         t0 = time.time()
         report = run_crosscheck(suite, corpus=corpus)
         elapsed = time.time() - t0

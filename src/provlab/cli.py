@@ -18,7 +18,7 @@ import sys
 from .budget import Budget, BudgetExhausted
 from .calculus import Logic
 from .corpus import CorpusParams, generate_corpus
-from .crosscheck import SUITES, run_crosscheck
+from .crosscheck import SUITES, run_crosscheck, suite_params
 from .formulas import (ATOM_RE, FormulaSyntaxError, ReservedAtomError, Sequent, parse_modal, parse_prop,
                        print_formula)
 from .frames import find_countermodel
@@ -79,9 +79,16 @@ def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _budget(args) -> Budget:
-    return Budget(steps=args.budget_steps, max_nodes=args.max_nodes,
-                  escalate_nodes=args.max_nodes + 2)
+# options that count something; a negative value is bad input
+COUNTS = ("max_nodes", "budget_steps", "max_size", "limit", "instances", "start", "sample",
+          "max_connectives", "max_degree")
+
+
+def _check_counts(args) -> None:
+    for option in COUNTS:
+        value = getattr(args, option, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{option.replace('_', '-')} must be non-negative, got {value}")
 
 
 def _countermodel(args, payload: dict, model: KripkeModel, node: str) -> None:
@@ -94,40 +101,30 @@ def _countermodel(args, payload: dict, model: KripkeModel, node: str) -> None:
 
 
 def _cmd_prove(args) -> int:
-    name = args.logic.lower()
-    if name in MODAL_LOGICS:
-        logic = MODAL_LOGICS[name]
-        gamma = tuple(parse_modal(s) for s in args.assume)
-        goal = parse_modal(args.formula)
-        res = prove(logic, Sequent(gamma, (goal,)), _budget(args))
-        payload = {"logic": logic.value,
-                   "sequent": [list(map(print_formula, gamma)), print_formula(goal)]}
-        match res:
+    budget = Budget(steps=args.budget_steps, max_nodes=args.max_nodes, escalate_nodes=args.max_nodes + 2)
+    modal = MODAL_LOGICS.get(args.logic)
+    parse = parse_modal if modal else parse_prop
+    gamma = tuple(parse(s) for s in args.assume)
+    goal = parse(args.formula)
+    payload = {"sequent": [list(map(print_formula, gamma)), print_formula(goal)]}
+    if modal:
+        payload["logic"] = modal.value
+        reduction = None
+        match prove(modal, Sequent(gamma, (goal,)), budget):
             case Provable(_, _, derivation, reduction):
-                payload["verdict"] = "provable"
-                payload["derivation"] = derivation.to_json()
-                if reduction is not None:
-                    payload["reduction"] = print_formula(reduction)
+                payload.update(verdict="provable", derivation=derivation.to_json())
             case NotProvable(_, _, model, node, reduction):
                 payload["verdict"] = "not-provable"
                 _countermodel(args, payload, model, node)
-                if reduction is not None:
-                    payload["reduction"] = print_formula(reduction)
             case Exhausted(_, _, reason):
-                payload["verdict"] = "exhausted"
-                payload["reason"] = reason
+                payload.update(verdict="exhausted", reason=reason)
+        if reduction is not None:
+            payload["reduction"] = print_formula(reduction)
         _emit(payload)
         return 0
-    logic = PROP_LOGICS[name]
-    gamma = tuple(parse_prop(s) for s in args.assume)
-    goal = parse_prop(args.formula)
-    v = prove_prop(logic, gamma, goal, _budget(args), countermodel_nodes=args.max_nodes)
-    payload = {
-        "logic": logic.value,
-        "sequent": [list(map(print_formula, gamma)), print_formula(goal)],
-        "verdict": {True: "provable", False: "not-provable", None: "exhausted"}[v.provable],
-        "method": v.method,
-    }
+    v = prove_prop(PROP_LOGICS[args.logic], gamma, goal, budget, countermodel_nodes=args.max_nodes)
+    payload.update(logic=v.logic.value, method=v.method,
+                   verdict={True: "provable", False: "not-provable", None: "exhausted"}[v.provable])
     if v.translated is not None:
         payload["translated"] = print_formula(v.translated)
         payload["translated_gamma"] = list(map(print_formula, v.translated_gamma))
@@ -143,7 +140,7 @@ def _cmd_countermodel(args) -> int:
     f = parse_modal(args.formula)
     payload = {"formula": args.formula, "frame_class": str(frame_class), "countermodel": None}
     try:
-        hit = find_countermodel(f, frame_class, args.max_nodes, _budget(args))
+        hit = find_countermodel(f, frame_class, args.max_nodes, Budget())
     except BudgetExhausted as e:
         hit, payload["reason"] = None, e.reason
     if hit is not None:
@@ -224,26 +221,12 @@ def _cmd_unwind(args) -> int:
     return 0
 
 
-def _corpus_params(args) -> CorpusParams:
+def _cmd_corpus(args) -> int:
     atoms = tuple(args.atoms.split(",")) if args.atoms else ("p", "q")
     for name in atoms:
         if not ATOM_RE.match(name) or name in ("bot", "top"):
             raise UsageError(f"--atoms expects comma-separated atom names, got {name!r}")
-    for option in ("max_connectives", "max_degree", "sample"):
-        value = getattr(args, option)
-        if value is not None and value < 0:
-            raise UsageError(f"--{option.replace('_', '-')} must be non-negative, got {value}")
-    return CorpusParams(
-        atoms=atoms,
-        max_connectives=args.max_connectives,
-        max_degree=args.max_degree,
-        sample_size=args.sample,
-        seed=args.seed,
-    )
-
-
-def _cmd_corpus(args) -> int:
-    corpus = generate_corpus(_corpus_params(args))
+    corpus = generate_corpus(CorpusParams(atoms, args.max_connectives, args.max_degree, args.sample, args.seed))
     _emit({
         "params": dataclasses.asdict(corpus.params),
         "digest": corpus.digest(),
@@ -253,7 +236,10 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    corpus = generate_corpus(_corpus_params(args)) if args.atoms or args.sample else None
+    corpus = None
+    if args.sample is not None:
+        params = dataclasses.replace(suite_params(args.suite), sample_size=args.sample, seed=args.seed)
+        corpus = generate_corpus(params)
     report = run_crosscheck(
         args.suite,
         corpus=corpus,
@@ -267,76 +253,77 @@ def _cmd_crosscheck(args) -> int:
     return 0 if report.ok else 1
 
 
+# options that several commands take; each command names the ones it reads
+SHARED_OPTIONS = {
+    "--dot": dict(metavar="PATH", default=None, help="write a DOT rendering"),
+    "--budget-steps": dict(type=int, default=100_000),
+    "--max-nodes": dict(type=int, default=6),
+    "--seed": dict(type=int, default=1),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="provlab",
                                      description="modal provability logic workbench")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="suppress stderr notes")
-    common.add_argument("--dot", metavar="PATH", default=None, help="write a DOT rendering")
-    common.add_argument("--budget-steps", type=int, default=100_000, dest="budget_steps")
-    common.add_argument("--max-nodes", type=int, default=6, dest="max_nodes")
-    common.add_argument("--seed", type=int, default=1)
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prove", parents=[common], help="decide a sequent")
+    def command(name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--json", action="store_true", help="suppress stderr notes")
+        for option in shared:
+            p.add_argument(option, **SHARED_OPTIONS[option])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("prove", _cmd_prove, "decide a sequent", "--dot", "--budget-steps", "--max-nodes")
     p.add_argument("--logic", required=True,
                    choices=sorted(MODAL_LOGICS) + sorted(PROP_LOGICS))
     p.add_argument("--assume", action="append", default=[], metavar="FORMULA")
     p.add_argument("formula")
-    p.set_defaults(func=_cmd_prove)
 
-    p = sub.add_parser("countermodel", parents=[common], help="bounded countermodel search")
+    p = command("countermodel", _cmd_countermodel, "bounded countermodel search", "--dot", "--max-nodes")
     p.add_argument("--class", dest="frame_class", required=True, choices=sorted(FRAME_CLASSES))
     p.add_argument("formula")
-    p.set_defaults(func=_cmd_countermodel)
 
-    p = sub.add_parser("translate", parents=[common], help="apply a translation")
+    p = command("translate", _cmd_translate, "apply a translation")
     p.add_argument("--flavor", required=True, choices=["b", "w", "g", "k4gl"])
     p.add_argument("--t", default=None, help="translation sequence, e.g. 1,2,1")
     p.add_argument("formula")
-    p.set_defaults(func=_cmd_translate)
 
-    p = sub.add_parser("expand", parents=[common], help="enumerate expansions")
-    p.add_argument("--max-disjuncts", type=int, default=2, dest="max_disjuncts")
-    p.add_argument("--max-size", type=int, default=64, dest="max_size")
+    p = command("expand", _cmd_expand, "enumerate expansions")
+    p.add_argument("--max-disjuncts", type=int, default=2)
+    p.add_argument("--max-size", type=int, default=64)
     p.add_argument("--limit", type=int, default=0)
     p.add_argument("formula")
-    p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("witness", parents=[common], help="check or build witnesses")
+    p = command("witness", _cmd_witness, "check or build witnesses")
     p.add_argument("mode", choices=["check", "canonical"])
     p.add_argument("--witness", default=None, help="comma-separated naturals")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("formula")
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("render", parents=[common], help="render a symbolic interpretation")
+    p = command("render", _cmd_render, "render a symbolic interpretation")
     p.add_argument("--witness", required=True)
     p.add_argument("--sigma", action="append", default=[], metavar="atom=sentence")
     p.add_argument("formula")
-    p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("unwind", parents=[common], help="unwind clusters into a GL model")
+    p = command("unwind", _cmd_unwind, "unwind clusters into a GL model", "--dot")
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--formula", required=True)
     p.add_argument("--t", required=True)
-    p.set_defaults(func=_cmd_unwind)
 
-    corpus_common = argparse.ArgumentParser(add_help=False)
-    corpus_common.add_argument("--atoms", default=None, help="comma-separated atom names")
-    corpus_common.add_argument("--max-connectives", type=int, default=7, dest="max_connectives")
-    corpus_common.add_argument("--max-degree", type=int, default=3, dest="max_degree")
-    corpus_common.add_argument("--sample", type=int, default=None)
+    p = command("corpus", _cmd_corpus, "generate a formula corpus", "--seed")
+    p.add_argument("--atoms", default=None, help="comma-separated atom names (default p,q)")
+    p.add_argument("--max-connectives", type=int, default=7)
+    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--sample", type=int, default=2000)
 
-    p = sub.add_parser("corpus", parents=[common, corpus_common], help="generate a formula corpus")
-    p.set_defaults(func=_cmd_corpus, atoms="p,q", sample=2000)
-
-    p = sub.add_parser("crosscheck", parents=[common, corpus_common],
-                       help="run a cross-validation suite")
+    p = command("crosscheck", _cmd_crosscheck, "run a cross-validation suite",
+                "--budget-steps", "--max-nodes", "--seed")
     p.add_argument("suite", choices=list(SUITES))
     p.add_argument("--instances", type=int, default=200)
-    p.set_defaults(func=_cmd_crosscheck)
+    p.add_argument("--sample", type=int, default=None,
+                   help="re-sample the suite's corpus at this size, with --seed")
 
     return parser
 
@@ -344,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except INPUT_ERRORS as e:
         message = str(e)

@@ -31,11 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .budget import Budget
 from .calculus import Logic, check_derivation
-from .corpus import BOX_FREE_PARAMS, Corpus, DEFAULT_PARAMS, generate_corpus
+from .corpus import BOX_FREE_PARAMS, Corpus, CorpusParams, DEFAULT_PARAMS, generate_corpus
 from .formulas import Formula, Neg, Sequent, box_children, box_occurrences, count_boxes, modal_degree, print_formula
 from .frames import enumerate_models, sweep_refutations
 from .kripke import GL_FRAME, K4_FRAME, check, int_frame, validate_frame
@@ -331,7 +331,9 @@ def _l34_suite(corpus: Corpus, instances: int, seed: int) -> CrosscheckReport:
     models = list(enumerate_models(3, K4_FRAME, ["p", "q"]))
     formulas = [f for f in corpus.formulas if modal_degree(f) <= 2]
     failures = frame_failures = negatives = 0
-    for idx in range(instances):
+    # a corpus without a formula of degree <= 2 has no instance to draw
+    items = instances if formulas else 0
+    for idx in range(items):
         m = rng.choice(models)
         f = rng.choice(formulas)
         t = _random_valid_translation(f, rng, 3)
@@ -351,7 +353,7 @@ def _l34_suite(corpus: Corpus, instances: int, seed: int) -> CrosscheckReport:
             rec["bad_nodes"] = bad_nodes
         report.records.append(rec)
     report.summary = {
-        "items": instances,
+        "items": items,
         "negative_half_nodes": negatives,
         "frame_failures": frame_failures,
         "transfer_failures": failures,
@@ -373,54 +375,50 @@ def _random_valid_translation(f: Formula, rng: random.Random, max_entry: int) ->
     return t
 
 
-def _lattice_suite(corpus: Corpus, prop_corpus: Corpus, budget_steps: int, max_nodes: int) -> CrosscheckReport:
+def _lattice_verdict(logic: Logic | PropLogic, f: Formula, budget: Budget) -> bool | None:
+    if isinstance(logic, Logic):
+        return search_provable(logic, Sequent((), (f,)), budget)
+    return prove_prop(logic, (), f, budget, countermodel_nodes=0).provable
+
+
+def _lattice_suite(corpus: Corpus, budget_steps: int, max_nodes: int) -> CrosscheckReport:
+    # the propositional corpus has the modal corpus's size and seed
+    prop_corpus = generate_corpus(
+        replace(BOX_FREE_PARAMS, sample_size=len(corpus.formulas), seed=corpus.params.seed))
     report = CrosscheckReport("lattice", {
         "corpus": corpus.digest(), "prop_corpus": prop_corpus.digest(),
         "budget_steps": budget_steps,
     })
-    modal_chains = [
-        (Logic.K4, Logic.KD4), (Logic.KD4, Logic.S4), (Logic.K4, Logic.GL), (Logic.GL, Logic.GLS),
-    ]
-    prop_chains = [
-        (PropLogic.BPC, PropLogic.EBPC), (PropLogic.EBPC, PropLogic.IPC),
-        (PropLogic.IPC, PropLogic.CPC), (PropLogic.BPC, PropLogic.FPL),
-    ]
+    modal_chains = [(Logic.K4, Logic.KD4), (Logic.KD4, Logic.S4), (Logic.K4, Logic.GL), (Logic.GL, Logic.GLS)]
+    prop_chains = [(PropLogic.BPC, PropLogic.EBPC), (PropLogic.EBPC, PropLogic.IPC),
+                   (PropLogic.IPC, PropLogic.CPC), (PropLogic.BPC, PropLogic.FPL)]
+    items = [(f, modal_chains) for f in corpus.formulas] + [(f, prop_chains) for f in prop_corpus.formulas]
     violations = exhausted = 0
-    for i, f in enumerate(corpus.formulas):
-        verdicts = {logic: search_provable(logic, Sequent((), (f,)), _item_budget(budget_steps, max_nodes))
-                    for logic in (Logic.K4, Logic.KD4, Logic.S4, Logic.GL, Logic.GLS)}
+    for i, (f, chains) in enumerate(items):
+        verdicts = {logic: _lattice_verdict(logic, f, _item_budget(budget_steps, max_nodes))
+                    for logic in dict.fromkeys(logic for chain in chains for logic in chain)}
         if None in verdicts.values():
             exhausted += 1
             continue
-        for weak, strong in modal_chains:
+        for weak, strong in chains:
             if verdicts[weak] and not verdicts[strong]:
                 violations += 1
                 report.records.append({
                     "index": i, "formula": print_formula(f), "status": "inclusion-violation",
                     "weaker": weak.value, "stronger": strong.value,
                 })
-    for i, f in enumerate(prop_corpus.formulas):
-        verdicts = {plogic: prove_prop(plogic, (), f, _item_budget(budget_steps, max_nodes),
-                                       countermodel_nodes=0).provable
-                    for plogic in (PropLogic.BPC, PropLogic.EBPC, PropLogic.IPC, PropLogic.CPC, PropLogic.FPL)}
-        if None in verdicts.values():
-            exhausted += 1
-            continue
-        for weak, strong in prop_chains:
-            if verdicts[weak] and not verdicts[strong]:
-                violations += 1
-                report.records.append({
-                    "index": len(corpus.formulas) + i, "formula": print_formula(f),
-                    "status": "inclusion-violation",
-                    "weaker": weak.value, "stronger": strong.value,
-                })
     report.summary = {
-        "items": len(corpus.formulas) + len(prop_corpus.formulas),
+        "items": len(items),
         "exhausted": exhausted,
         "disagreements": violations,
         "evidence_failures": 0,
     }
     return report
+
+
+def suite_params(suite: str) -> CorpusParams:
+    """The parameters of a suite's default corpus: box-free for t99."""
+    return BOX_FREE_PARAMS if suite in _T99_LOGIC else DEFAULT_PARAMS
 
 
 def run_crosscheck(
@@ -434,25 +432,13 @@ def run_crosscheck(
     """Run one suite; the report's ok flag is the pass/fail verdict."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    corpus = corpus or generate_corpus(suite_params(suite))
     if suite in _ORACLE_LOGIC:
-        corpus = corpus or generate_corpus(DEFAULT_PARAMS)
         return _oracle_suite(suite, corpus, budget_steps, max_nodes)
     if suite in _T99_LOGIC:
-        corpus = corpus or generate_corpus(BOX_FREE_PARAMS)
         return _t99_suite(suite, corpus, budget_steps, min(max_nodes, 5))
     if suite == "t33":
-        corpus = corpus or generate_corpus(DEFAULT_PARAMS)
         return _t33_suite(corpus, budget_steps, max_nodes, seed)
     if suite == "l34":
-        corpus = corpus or generate_corpus(DEFAULT_PARAMS)
         return _l34_suite(corpus, instances, seed)
-    if corpus is None:
-        corpus = generate_corpus(DEFAULT_PARAMS)
-        prop_corpus = generate_corpus(BOX_FREE_PARAMS)
-    else:
-        from dataclasses import replace
-
-        prop_corpus = generate_corpus(
-            replace(BOX_FREE_PARAMS, sample_size=len(corpus.formulas), seed=corpus.params.seed)
-        )
-    return _lattice_suite(corpus, prop_corpus, budget_steps, max_nodes)
+    return _lattice_suite(corpus, budget_steps, max_nodes)

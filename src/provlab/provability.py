@@ -329,18 +329,6 @@ def print_term(t: InterpretationTerm) -> str:
     return go(t, 0)
 
 
-def pr_indices(t: InterpretationTerm) -> list[int]:
-    match t:
-        case Pr(index, body):
-            return [index] + pr_indices(body)
-        case INeg(sub):
-            return pr_indices(sub)
-        case IAnd(l, r) | IOr(l, r) | IImp(l, r):
-            return pr_indices(l) + pr_indices(r)
-        case _:
-            return []
-
-
 # -- translations --------------------------------------------------------------
 
 

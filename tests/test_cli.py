@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from provlab.budget import Budget
-from provlab.cli import main
+from provlab.cli import build_parser, main
+from provlab.corpus import BOX_FREE_PARAMS, generate_corpus
 from provlab.formulas import FormulaSyntaxError, parse_modal
 
 
@@ -133,6 +136,45 @@ def test_crosscheck_command_exit_status(capsys):
     assert payload["summary"]["items"] == 6
 
 
+def test_crosscheck_sample_resamples_the_suites_corpus(capsys):
+    # t99 re-samples its box-free corpus; a modal one would fail translate_bhk
+    assert main(["crosscheck", "t99-fpl", "--sample", "20", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"]["corpus"] == generate_corpus(replace(BOX_FREE_PARAMS, sample_size=20)).digest()
+    args = build_parser().parse_args(["crosscheck", "t99-bpc"])
+    assert args.sample is None and not hasattr(args, "atoms")
+
+
+def test_l34_on_a_corpus_without_instances(capsys):
+    # no formula of degree <= 2 to draw from: no instance runs, and no traceback
+    assert main(["crosscheck", "l34", "--sample", "0", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["summary"]["items"] == 0 and payload["params"]["instances"] == 200
+
+
+# each command's options, without -h; a new option is an edit here
+OPTIONS = {
+    "prove": {"--json", "--dot", "--budget-steps", "--max-nodes", "--logic", "--assume"},
+    "countermodel": {"--json", "--dot", "--max-nodes", "--class"},
+    "translate": {"--json", "--flavor", "--t"},
+    "expand": {"--json", "--max-disjuncts", "--max-size", "--limit"},
+    "witness": {"--json", "--witness", "--start"},
+    "render": {"--json", "--witness", "--sigma"},
+    "unwind": {"--json", "--dot", "--model", "--formula", "--t"},
+    "corpus": {"--json", "--seed", "--atoms", "--max-connectives", "--max-degree", "--sample"},
+    "crosscheck": {"--json", "--budget-steps", "--max-nodes", "--seed", "--instances", "--sample"},
+}
+
+
+def test_each_command_takes_only_its_options():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    found = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, p in commands.items()}
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 40
+
+
 def bad_input(capsys, *argv):
     """Run the CLI on bad input, in text mode and under --json: exit code 2,
     one error line on stderr and nothing on stdout, or one JSON error object
@@ -210,8 +252,15 @@ def test_bad_sigma_exits_2(capsys):
     (["corpus", "--atoms", "p,,q"], "--atoms expects comma-separated atom names, got ''"),
     (["corpus", "--atoms", "a_b,X"], "--atoms expects comma-separated atom names, got 'X'"),
     (["corpus", "--atoms", "p,bot"], "--atoms expects comma-separated atom names, got 'bot'"),
+    (["countermodel", "--class", "k4", "--max-nodes", "-1", "p"], "--max-nodes must be non-negative, got -1"),
+    (["prove", "--logic", "k4", "--budget-steps", "-1", "p"], "--budget-steps must be non-negative, got -1"),
+    (["expand", "--max-size", "-1", "[]p"], "--max-size must be non-negative, got -1"),
+    (["expand", "--limit", "-1", "[]p"], "--limit must be non-negative, got -1"),
+    (["crosscheck", "l34", "--instances", "-2"], "--instances must be non-negative, got -2"),
+    (["witness", "canonical", "--start", "-1", "[]p"], "--start must be non-negative, got -1"),
 ], ids=["sample", "max-connectives", "max-degree", "crosscheck-sample", "max-disjuncts",
-        "empty-atom", "upper-case-atom", "constant-as-atom"])
+        "empty-atom", "upper-case-atom", "constant-as-atom", "max-nodes", "budget-steps", "max-size",
+        "limit", "instances", "start"])
 def test_bad_option_values_exit_2(capsys, argv, message):
     assert bad_input(capsys, *argv) == message
 
@@ -252,7 +301,7 @@ def test_cli_outputs_are_pinned(tmp_path, capsys, case):
 
 def test_countermodel_reports_an_exhausted_budget(monkeypatch, capsys):
     # K4 proves axiom 4, so the search runs through every model until the budget ends
-    monkeypatch.setattr("provlab.cli._budget", lambda args: Budget(models=10))
+    monkeypatch.setattr("provlab.cli.Budget", lambda: Budget(models=10))
     assert main(["countermodel", "--class", "k4", "[]p -> [][]p"]) == 0
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
