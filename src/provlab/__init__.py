@@ -14,6 +14,7 @@ from .formulas import (
     And,
     Formula,
     Imp,
+    InputError,
     Neg,
     Or,
     Sequent,

@@ -65,8 +65,17 @@ class Derivation:
 
         return go(self)
 
+    def nodes(self) -> list["Derivation"]:
+        """Every node in pre-order, first premise first; an explicit stack, so deep chains do not recurse."""
+        out, stack = [], [self]
+        while stack:
+            d = stack.pop()
+            out.append(d)
+            stack.extend(reversed(d.premises))
+        return out
+
     def node_count(self) -> int:
-        return 1 + sum(d.node_count() for d in self.premises)
+        return len(self.nodes())
 
 
 def _count(fs) -> dict:

@@ -19,24 +19,12 @@ from .budget import Budget, BudgetExhausted
 from .calculus import Logic
 from .corpus import CorpusParams, generate_corpus
 from .crosscheck import SUITES, run_crosscheck, suite_params
-from .formulas import (ATOM_RE, FormulaSyntaxError, ReservedAtomError, Sequent, parse_modal, parse_prop,
-                       print_formula)
+from .formulas import ATOM_RE, InputError, Sequent, parse_modal, parse_prop, print_formula
 from .frames import find_countermodel
-from .kripke import (
-    FrameViolationError,
-    GL_FRAME,
-    K4_FRAME,
-    KD4_FRAME,
-    KripkeModel,
-    ModelFormatError,
-    S4_FRAME,
-    int_frame,
-)
+from .kripke import INT_FLAVORS, KripkeModel, int_frame
 from .prop import PropLogic, prove_prop
-from .prover import Exhausted, NotProvable, Provable, prove
+from .prover import FRAME_OF_LOGIC, Exhausted, NotProvable, Provable, prove
 from .provability import (
-    InvalidWitnessError,
-    ReservedAtomCollision,
     canonical_witness,
     expansions,
     interpret,
@@ -53,21 +41,15 @@ MODAL_LOGICS = {l.value.lower(): l for l in Logic}
 PROP_LOGICS = {l.value.lower(): l for l in PropLogic}
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     """An option a command needs is missing or malformed."""
 
 
 # bad input: reported in one line, exit code 2, no traceback
-INPUT_ERRORS = (FormulaSyntaxError, ReservedAtomError, InvalidWitnessError, ReservedAtomCollision,
-                FrameViolationError, ModelFormatError, UsageError, json.JSONDecodeError, OSError)
+INPUT_ERRORS = (InputError, json.JSONDecodeError, OSError)
 
-FRAME_CLASSES = {
-    "k4": K4_FRAME,
-    "kd4": KD4_FRAME,
-    "s4": S4_FRAME,
-    "gl": GL_FRAME,
-    **{f"int-{fl.lower()}": int_frame(fl) for fl in ("BPC", "IPC", "MPC", "FPL", "CPC")},
-}
+FRAME_CLASSES = {**{logic.value.lower(): fc for logic, fc in FRAME_OF_LOGIC.items()},
+                 **{f"int-{fl.lower()}": int_frame(fl) for fl in INT_FLAVORS}}
 
 
 def _note(args, message: str) -> None:
@@ -101,7 +83,7 @@ def _countermodel(args, payload: dict, model: KripkeModel, node: str) -> None:
 
 
 def _cmd_prove(args) -> int:
-    budget = Budget(steps=args.budget_steps, max_nodes=args.max_nodes, escalate_nodes=args.max_nodes + 2)
+    budget = Budget(steps=args.budget_steps, max_nodes=args.max_nodes)
     modal = MODAL_LOGICS.get(args.logic)
     parse = parse_modal if modal else parse_prop
     gamma = tuple(parse(s) for s in args.assume)
@@ -137,7 +119,7 @@ def _cmd_prove(args) -> int:
 
 def _cmd_countermodel(args) -> int:
     frame_class = FRAME_CLASSES[args.frame_class.lower()]
-    f = parse_modal(args.formula)
+    f = (parse_prop if frame_class.kind == "Int" else parse_modal)(args.formula)
     payload = {"formula": args.formula, "frame_class": str(frame_class), "countermodel": None}
     try:
         hit = find_countermodel(f, frame_class, args.max_nodes, Budget())

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .formulas import And, Atom, BOT, Box, Formula, Imp, Neg, Or, TOP, print_formula
+from .formulas import And, Atom, BOT, Box, Formula, Imp, InputError, Neg, Or, TOP, print_formula
 
 _EXHAUSTIVE_LIMIT = 500_000
 
@@ -55,7 +55,7 @@ BOX_FREE_PARAMS = CorpusParams(atoms=("p", "q"), max_connectives=7, max_degree=0
 class _Enumeration:
     def __init__(self, params: CorpusParams):
         if params.max_connectives < 0 or params.max_degree < 0:
-            raise ValueError("bounds must be non-negative")
+            raise InputError("bounds must be non-negative")
         self.leaves: list[Formula] = [Atom(a) for a in sorted(params.atoms)] + [BOT, TOP]
         self.max_degree = params.max_degree
         self.count = lru_cache(maxsize=None)(self._count)
@@ -112,9 +112,7 @@ def generate_corpus(params: CorpusParams) -> Corpus:
     total = enum.total(params.max_connectives)
     if params.sample_size is None or params.sample_size >= total:
         if total > _EXHAUSTIVE_LIMIT:
-            raise ValueError(
-                f"{total} formulas within bounds; pass sample_size to down-sample"
-            )
+            raise InputError(f"{total} formulas within bounds; pass sample_size to down-sample")
         indices = range(total)
     else:
         rng = random.Random(params.seed)

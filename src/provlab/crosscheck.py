@@ -1,12 +1,13 @@
 """Cross-validation campaigns for the decidable equivalences and transfer properties.
 
-Suites:
-  oracle-k4 / oracle-kd4 / oracle-s4 / oracle-gl
+Suites (the oracle and t99 names are read off prover.FRAME_OF_LOGIC and
+prop.PROP_TO_MODAL):
+  oracle-<logic>, one per modal logic with a frame class
       prove every corpus formula; re-check all evidence (derivations through
       the rule checker, countermodels through frame validation and forcing);
       then sweep all models within the node bound and flag any Provable
       formula that some model refutes.
-  t99-bpc / t99-ebpc / t99-ipc / t99-fpl / t99-mpc
+  t99-<logic>, one per propositional logic decided by translation
       verdict equality between the propositional prover and the matching
       modal prover's result on the translated formula that it decided through,
       plus a direct-semantics sweep over the propositional frame classes: a
@@ -14,9 +15,9 @@ Suites:
   t33   for K4-unprovable corpus formulas of degree <= 2 and every valid
         translation with entries <= 3, certify GL does not prove the
         translation by unwinding the K4 countermodel into a GL countermodel
-        (checked by forcing); a seeded subsample is confirmed against the GL
-        prover directly.  K4-provable formulas satisfy the implication
-        outright.
+        (verify_transfer at the refuting node); a seeded subsample is
+        confirmed against the GL prover directly.  K4-provable formulas
+        satisfy the implication outright.
   l34   sampled unwinding instances: GL frame validation, the per-node truth
         transfer, and the full quantitative claim including its negative half.
   lattice
@@ -36,50 +37,17 @@ from dataclasses import dataclass, field, replace
 from .budget import Budget
 from .calculus import Logic, check_derivation
 from .corpus import BOX_FREE_PARAMS, Corpus, CorpusParams, DEFAULT_PARAMS, generate_corpus
-from .formulas import Formula, Neg, Sequent, box_children, box_occurrences, count_boxes, modal_degree, print_formula
+from .formulas import Formula, Sequent, box_children, box_occurrences, count_boxes, modal_degree, print_formula
 from .frames import enumerate_models, sweep_refutations
 from .kripke import GL_FRAME, K4_FRAME, check, int_frame, validate_frame
 from .prop import PROP_TO_MODAL, PropLogic, prove_prop
-from .prover import (
-    FRAME_OF_LOGIC,
-    Exhausted,
-    NotProvable,
-    Provable,
-    prove,
-    search_provable,
-)
+from .prover import FRAME_OF_LOGIC, Exhausted, NotProvable, Provable, prove, search_provable
 from .provability import translate_k4_to_gl, translation_valid
-from .unwind import unwind
+from .unwind import claim2_holds, unwind, verify_transfer
 
-SUITES = (
-    "t99-bpc",
-    "t99-ebpc",
-    "t99-ipc",
-    "t99-fpl",
-    "t99-mpc",
-    "t33",
-    "l34",
-    "oracle-k4",
-    "oracle-kd4",
-    "oracle-s4",
-    "oracle-gl",
-    "lattice",
-)
-
-_ORACLE_LOGIC = {
-    "oracle-k4": Logic.K4,
-    "oracle-kd4": Logic.KD4,
-    "oracle-s4": Logic.S4,
-    "oracle-gl": Logic.GL,
-}
-
-_T99_LOGIC = {
-    "t99-bpc": PropLogic.BPC,
-    "t99-ebpc": PropLogic.EBPC,
-    "t99-ipc": PropLogic.IPC,
-    "t99-fpl": PropLogic.FPL,
-    "t99-mpc": PropLogic.MPC,
-}
+_T99_LOGIC = {f"t99-{plogic.value.lower()}": plogic for plogic in PROP_TO_MODAL}
+_ORACLE_LOGIC = {f"oracle-{logic.value.lower()}": logic for logic in FRAME_OF_LOGIC}
+SUITES = (*_T99_LOGIC, "t33", "l34", *_ORACLE_LOGIC, "lattice")
 
 
 @dataclass
@@ -109,13 +77,12 @@ def _hash_evidence(obj) -> str:
 
 
 def _item_budget(budget_steps: int, max_nodes: int) -> Budget:
-    return Budget(steps=budget_steps, max_nodes=max_nodes, escalate_nodes=max_nodes + 2)
+    return Budget(steps=budget_steps, max_nodes=max_nodes)
 
 
 def _rule_tally(derivation, tally: dict) -> None:
-    tally[derivation.rule] = tally.get(derivation.rule, 0) + 1
-    for p in derivation.premises:
-        _rule_tally(p, tally)
+    for d in derivation.nodes():
+        tally[d.rule] = tally.get(d.rule, 0) + 1
 
 
 def _refute_provable(report: CrosscheckReport, provable: list[tuple[int, Formula]], frame_class,
@@ -278,26 +245,19 @@ def _t33_suite(corpus: Corpus, budget_steps: int, max_nodes: int, seed: int) -> 
             report.records.append(rec)
             continue
         rec["k4"] = "not-provable"
-        model, node = res.model, res.node
-        neg = Neg(f)
         checked = 0
         for t in _valid_translations(f, 3):
             checked += 1
-            translated = translate_k4_to_gl(f, t)
-            # unwind the K4 countermodel: it must refute the translation on a
-            # GL frame, which certifies GL does not prove it
-            unw = unwind(model, neg, t)
-            # irreflexive nodes keep their name; a reflexive node's length-1
-            # path prints identically, so the stand-in is the name itself
-            refuted = not check(unw, node, translated)
-            if not refuted:
+            # the node refutes f, so by the transfer its stand-in in the unwound
+            # GL model refutes the translation: GL does not prove it
+            if not verify_transfer(res.model, f, t, res.node):
                 transfer_failures += 1
                 rec["status"] = "transfer-failure"
                 rec["bad_translation"] = ",".join(map(str, t))
                 break
             if rng.random() < 0.02 and prover_confirms < 60:
                 prover_confirms += 1
-                if search_provable(Logic.GL, Sequent((), (translated,)),
+                if search_provable(Logic.GL, Sequent((), (translate_k4_to_gl(f, t),)),
                                    _item_budget(budget_steps, max_nodes)) is True:
                     violations += 1
                     rec["status"] = "violation"
@@ -322,8 +282,6 @@ def _t33_suite(corpus: Corpus, budget_steps: int, max_nodes: int, seed: int) -> 
 
 
 def _l34_suite(corpus: Corpus, instances: int, seed: int) -> CrosscheckReport:
-    from .unwind import claim2_holds, verify_transfer
-
     report = CrosscheckReport("l34", {
         "corpus": corpus.digest(), "instances": instances, "seed": seed,
     })

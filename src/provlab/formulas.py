@@ -26,7 +26,11 @@ from typing import Callable, Iterator, TypeVar, Union
 T = TypeVar("T")
 
 
-class FormulaSyntaxError(ValueError):
+class InputError(ValueError):
+    """Base of every module's bad-input errors (formula, witness, model, bound, option); still a ValueError."""
+
+
+class FormulaSyntaxError(InputError):
     """Raised on malformed input; carries the character offset."""
 
     def __init__(self, message: str, position: int):
@@ -34,7 +38,7 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-class ReservedAtomError(ValueError):
+class ReservedAtomError(InputError):
     """Raised when propositional input uses a generated-atom name (q0, q1, ..., qw)."""
 
 

@@ -19,7 +19,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .formulas import And, Atom, Bot, Box, Formula, Neg, Or, Top, preorder
+from .formulas import And, Atom, Bot, Box, Formula, InputError, Neg, Or, Top, preorder
 
 # Valuation key for the falsum extension in MPC models, where bot behaves
 # like an ordinary persistent atom.
@@ -57,13 +57,13 @@ class UnknownNodeError(KeyError):
     pass
 
 
-class FrameViolationError(ValueError):
+class FrameViolationError(InputError):
     def __init__(self, violations):
         super().__init__(f"frame violations: {violations}")
         self.violations = violations
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
     """A model's JSON lacks a key or has a value of the wrong shape."""
 
 

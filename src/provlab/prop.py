@@ -20,7 +20,7 @@ from .formulas import Formula, is_box_free
 from .frames import find_entailment_countermodel
 # check_int and validate_frame are unused here; kept because the benchmark's
 # tracer wraps provlab.prop.check_int and provlab.prop.validate_frame
-from .kripke import KripkeModel, check_int, int_frame, validate_frame
+from .kripke import INT_FLAVORS, KripkeModel, check_int, int_frame, validate_frame
 from .prover import Exhausted, NotProvable, Provable, ProveResult, derives
 from .provability import translate_bhk
 
@@ -44,7 +44,7 @@ PROP_TO_MODAL: dict[PropLogic, tuple[str, Logic]] = {
 }
 
 # logics with a frame class of their own; EBPC is translation-only
-DIRECT_SEMANTICS = (PropLogic.BPC, PropLogic.IPC, PropLogic.MPC, PropLogic.FPL, PropLogic.CPC)
+DIRECT_SEMANTICS = tuple(PropLogic(flavor) for flavor in INT_FLAVORS)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .formulas import (
     Box,
     Formula,
     Imp,
+    InputError,
     Neg,
     Or,
     RESERVED_ATOM_RE,
@@ -52,15 +53,15 @@ FLAVORS = (BHK, WEAK_BHK, GODEL)
 WEAK_BHK_ATOM = "qw"
 
 
-class WitnessLengthError(ValueError):
+class WitnessLengthError(InputError):
     pass
 
 
-class InvalidWitnessError(ValueError):
+class InvalidWitnessError(InputError):
     pass
 
 
-class ReservedAtomCollision(ValueError):
+class ReservedAtomCollision(InputError):
     pass
 
 

@@ -20,8 +20,8 @@ import itertools
 
 from .formulas import Box, Formula, children, subformula_occurrences
 # check is unused here; kept because the benchmark's tracer wraps provlab.unwind.check
-from .kripke import (FrameViolationError, K4_FRAME, Extension, KripkeModel, UnknownNodeError, _force, check,
-                     validate_frame)
+from .kripke import (FrameViolationError, K4_FRAME, Extension, KripkeModel, ModelFormatError, UnknownNodeError,
+                     _force, check, validate_frame)
 from .provability import (
     InvalidWitnessError,
     ReservedAtomCollision,
@@ -74,7 +74,7 @@ def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel,
             raise QAtomCollision(f"model valuation already defines q{i}")
     for k in model.nodes:
         if PATH_SEP in k:
-            raise ValueError(f"node id {k!r} contains the path separator {PATH_SEP!r}")
+            raise ModelFormatError(f"node id {k!r} contains the path separator {PATH_SEP!r}")
 
     table: dict[frozenset[str], list[tuple[tuple[str, ...], str]]] = {}
     for cluster in model.clusters:

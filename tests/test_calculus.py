@@ -7,7 +7,8 @@ import pytest
 import provlab
 from provlab.calculus import Derivation, Logic, check_derivation, diagnose_derivation
 from provlab.corpus import DEFAULT_PARAMS, generate_corpus
-from provlab.formulas import Atom, BOT, And, Box, Imp, Neg, Or, Sequent
+from provlab.crosscheck import _rule_tally
+from provlab.formulas import Atom, BOT, And, Box, Imp, Neg, Or, Sequent, parse_modal
 from provlab.prover import Provable, prove
 
 p, q = Atom("p"), Atom("q")
@@ -188,6 +189,17 @@ def test_deep_derivations_check_without_recursion():
     assert check_derivation(Logic.K4, _chain())
     msg = diagnose_derivation(Logic.K4, _chain(bad_depth=4001))
     assert msg == f"wR premise must drop one succedent formula (at {[0] * 4001}: p, p => p)"
+    assert _chain().node_count() == 5001
+
+
+def test_deep_k4_derivation_walks_without_recursion():
+    # K4's derivation of []^50(p /\ q) -> []^50 p is a chain 2507 nodes deep
+    res = prove(Logic.K4, Sequent((), (parse_modal("[]" * 50 + "(p /\\ q) -> " + "[]" * 50 + "p"),)))
+    assert isinstance(res, Provable) and check_derivation(Logic.K4, res.derivation)
+    assert res.derivation.node_count() == 2507
+    tally = {}
+    _rule_tally(res.derivation, tally)
+    assert tally == {"AndL": 2, "Axiom-Id": 1, "Box4R": 50, "ImpR": 1, "cL": 1, "wL": 2452}
 
 
 # The rule names in a fixed order; a renamed node takes the next one, cyclically.
@@ -195,14 +207,6 @@ RENAME_ORDER = ("Axiom-Id", "Axiom-Bot", "wL", "wR", "cL", "cR", "cut", "OrL", "
                 "AndR", "ImpL", "ImpR", "NegL", "NegR", "Box4R", "BoxDR", "BoxSR", "BoxL", "GLR")
 # sha256 over every diagnose_derivation result of test_diagnostics_are_pinned
 DIAGNOSTICS_DIGEST = "8b2d4d82e52a85e653d73275d2e5c2f65577b452d5c87c0ca76b7c0a2839b64a"
-
-
-def _nodes(d):
-    stack = [d]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(reversed(n.premises))
 
 
 def test_diagnostics_are_pinned():
@@ -214,7 +218,7 @@ def test_diagnostics_are_pinned():
             res = prove(logic, Sequent((), (f,)))
             if not isinstance(res, Provable):
                 continue
-            for n in _nodes(res.derivation):
+            for n in res.derivation.nodes():
                 ante, succ = n.sequent.ante, n.sequent.succ
                 renamed = RENAME_ORDER[(RENAME_ORDER.index(n.rule) + 1) % len(RENAME_ORDER)]
                 for variant in (

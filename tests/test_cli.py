@@ -6,9 +6,12 @@ from dataclasses import replace
 import pytest
 
 from provlab.budget import Budget
-from provlab.cli import build_parser, main
+from provlab.cli import FRAME_CLASSES, INPUT_ERRORS, UsageError, build_parser, main
 from provlab.corpus import BOX_FREE_PARAMS, generate_corpus
-from provlab.formulas import FormulaSyntaxError, parse_modal
+from provlab.formulas import FormulaSyntaxError, InputError, ReservedAtomError, parse_modal
+from provlab.kripke import FrameViolationError, ModelFormatError
+from provlab.provability import InvalidWitnessError, ReservedAtomCollision, WitnessLengthError
+from provlab.unwind import QAtomCollision
 
 
 def run_cli(capsys, *argv):
@@ -267,6 +270,43 @@ def test_bad_option_values_exit_2(capsys, argv, message):
 
 UNWIND_MODEL = {"nodes": ["a", "b"], "relation": [["a", "b"], ["b", "b"]],
                 "clusters": [["a"], ["b"]], "valuation": {"p": ["b"]}}
+SEP_MODEL = {"nodes": ["a|b"], "relation": [], "clusters": [["a|b"]], "valuation": {}}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["render", "--witness", "1", "p"], "witness length 1 != 0 box occurrences"),
+    (["witness", "check", "--witness", "1,2", "[]p"], "witness length 2 != 1 box occurrences"),
+    (["translate", "--flavor", "k4gl", "--t", "1,2", "[]p"], "translation length 2 != 1 box occurrences"),
+    (["unwind", "--model", "MODEL", "--formula", "[]p", "--t", "1,2"], "translation length 2 != 1 box occurrences"),
+    (["unwind", "--model", "SEP_MODEL", "--formula", "[]p", "--t", "0"],
+     "node id 'a|b' contains the path separator '|'"),
+    (["corpus", "--max-connectives", "4", "--sample", "5000000"],
+     "1766856 formulas within bounds; pass sample_size to down-sample"),
+    (["countermodel", "--class", "int-ipc", "[]p"], "box is not allowed in propositional input at offset 0"),
+    (["countermodel", "--class", "int-bpc", "q0 -> p"], "atom 'q0' is reserved for generated formulas"),
+], ids=["render-length", "witness-length", "translate-length", "unwind-length", "unwind-separator",
+        "corpus-bound", "countermodel-int-box", "countermodel-int-reserved"])
+def test_input_errors_exit_2(tmp_path, capsys, argv, message):
+    files = {"MODEL": UNWIND_MODEL, "SEP_MODEL": SEP_MODEL}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    assert bad_input(capsys, *[str(tmp_path / a) if a in files else a for a in argv]) == message
+
+
+def test_bad_input_is_one_exception_type():
+    assert INPUT_ERRORS == (InputError, json.JSONDecodeError, OSError)
+    for cls in (FormulaSyntaxError, ReservedAtomError, WitnessLengthError, InvalidWitnessError,
+                ReservedAtomCollision, QAtomCollision, FrameViolationError, ModelFormatError, UsageError):
+        assert issubclass(cls, InputError) and issubclass(cls, ValueError)
+
+
+def test_frame_classes_are_pinned():
+    # the countermodel command's --class choices
+    assert [(key, str(fc)) for key, fc in FRAME_CLASSES.items()] == [
+        ("k4", "K4Frame"), ("kd4", "KD4Frame"), ("s4", "S4Frame"), ("gl", "GLFrame"),
+        ("int-bpc", "IntFrame(BPC)"), ("int-ipc", "IntFrame(IPC)"), ("int-mpc", "IntFrame(MPC)"),
+        ("int-fpl", "IntFrame(FPL)"), ("int-cpc", "IntFrame(CPC)")]
+
 
 # sha256 over each command's stdout, then its --dot file ("-" when none is
 # written), of the commands that report or write a countermodel; MODEL stands

@@ -315,6 +315,12 @@ def test_exhausted_reason_names_the_largest_bound_searched():
     assert res.reason == "no countermodel within 1 nodes"
 
 
+def test_escalation_defaults_to_two_nodes_past_max_nodes():
+    assert (Budget().max_nodes, Budget().escalate_nodes) == (6, 8)
+    assert Budget(max_nodes=3).escalate_nodes == 5
+    assert Budget(max_nodes=1, escalate_nodes=0).escalate_nodes == 0
+
+
 def test_escalation_scans_each_size_once():
     # the first countermodel needs two nodes, past max_nodes: escalation
     # charges one scan of sizes 1..3, not a scan of size 1 and then another
