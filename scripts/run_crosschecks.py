@@ -10,6 +10,10 @@ and takes a few minutes.
 Each line gives the suite's time and the sha256 of the report it wrote.
 With --against DIR, each report's bytes are also compared with DIR/<suite>.json
 (the reports of an earlier run), and a line per suite says `same` or `DIFFERS`.
+A `DIFFERS` line also says whether the params and the summary are equal, and
+how many records differ, counted per key: `summary same; 41 records differ in
+evidence` says that only evidence hashes moved.  Records are matched by
+index; those in one report only are counted apart.
 Exits nonzero if any suite reports a disagreement or evidence failure, or
 under --against if any report differs.
 """
@@ -17,6 +21,7 @@ under --against if any report differs.
 import argparse
 import dataclasses
 import hashlib
+import json
 import pathlib
 import sys
 import time
@@ -25,6 +30,31 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from provlab.corpus import generate_corpus
 from provlab.crosscheck import SUITES, run_crosscheck, suite_params
+
+
+def describe_difference(previous: bytes, body: bytes) -> str:
+    """Which parts of two reports differ: params, summary, and per key the records."""
+    old, new = json.loads(previous), json.loads(body)
+    parts = [] if old["params"] == new["params"] else ["params differ"]
+    parts.append("summary same" if old["summary"] == new["summary"] else "summary differs")
+    old_records = {r["index"]: r for r in old["records"]}
+    new_records = {r["index"]: r for r in new["records"]}
+    per_key: dict[str, int] = {}
+    for i in old_records.keys() & new_records.keys():
+        a, b = old_records[i], new_records[i]
+        for k in a.keys() | b.keys():
+            if a.get(k) != b.get(k):
+                per_key[k] = per_key.get(k, 0) + 1
+    if per_key:
+        (k, n), *rest = sorted(per_key.items(), key=lambda kv: (-kv[1], kv[0]))
+        first = f"{n} records differ in {k}" if n > 1 else f"1 record differs in {k}"
+        parts.append(", ".join([first, *(f"{n} in {k}" for k, n in rest)]))
+    lone = len(old_records.keys() ^ new_records.keys())
+    if lone:
+        parts.append(f"{lone} records in one report only" if lone > 1 else "1 record in one report only")
+    if not per_key and not lone:
+        parts.append("no record differs")
+    return "; ".join(parts)
 
 
 def main() -> int:
@@ -58,9 +88,12 @@ def main() -> int:
             failed.append(suite)
         if args.against is not None:
             previous = pathlib.Path(args.against) / f"{suite}.json"
-            same = previous.is_file() and previous.read_bytes() == body
-            print(f"{suite:<12} {'same' if same else 'DIFFERS'} against {previous}", flush=True)
-            if not same:
+            old = previous.read_bytes() if previous.is_file() else None
+            if old == body:
+                print(f"{suite:<12} same against {previous}", flush=True)
+            else:
+                detail = "no such file" if old is None else describe_difference(old, body)
+                print(f"{suite:<12} DIFFERS against {previous}: {detail}", flush=True)
                 differs.append(suite)
     if failed:
         print(f"FAILED suites: {', '.join(failed)}", file=sys.stderr)

@@ -345,7 +345,7 @@ def _lattice_suite(corpus: Corpus, budget_steps: int, max_nodes: int) -> Crossch
         replace(BOX_FREE_PARAMS, sample_size=len(corpus.formulas), seed=corpus.params.seed))
     report = CrosscheckReport("lattice", {
         "corpus": corpus.digest(), "prop_corpus": prop_corpus.digest(),
-        "budget_steps": budget_steps,
+        "budget_steps": budget_steps, "max_nodes": max_nodes,
     })
     modal_chains = [(Logic.K4, Logic.KD4), (Logic.KD4, Logic.S4), (Logic.K4, Logic.GL), (Logic.GL, Logic.GLS)]
     prop_chains = [(PropLogic.BPC, PropLogic.EBPC), (PropLogic.EBPC, PropLogic.IPC),

@@ -6,8 +6,12 @@ standard contraction bound for these calculi).  Fully invertible steps
 eagerly; the non-invertible box rules branch, with a history check blocking
 any sequent repeated along a branch.  A successful search is replayed into a
 cut-free derivation made of the primitive rules only, so every Provable
-verdict is independently checkable; NotProvable verdicts carry a bounded-
-enumeration countermodel that is re-verified before being returned.
+verdict is independently checkable.  A failed search leaves a failure
+witness: the worlds of its failed modal leaves, joined by their failed box
+premises and by history hits.  A NotProvable verdict carries the Kripke
+countermodel read off that witness (a finite tree of clusters, or an
+irreflexive DAG for GL; Sambin & Valentini 1982, Gore 1999), re-verified by
+frame validation and the naive forcing checker before it is returned.
 
 Multisets are plain dicts from formula to count that never hold a zero
 count, so two multisets are equal exactly when their dicts are, and the
@@ -34,6 +38,7 @@ from .calculus import Derivation, Logic
 from .formulas import (
     BOT,
     And,
+    Atom,
     Box,
     Formula,
     Imp,
@@ -41,6 +46,7 @@ from .formulas import (
     Or,
     Sequent,
     Top,
+    atoms,
     conj,
     preorder,
     print_formula,
@@ -53,7 +59,7 @@ from .kripke import (
     KD4_FRAME,
     KripkeModel,
     S4_FRAME,
-    check,  # unused here; kept because the benchmark's tracer wraps provlab.prover.check
+    check,
     validate_frame,
 )
 
@@ -133,13 +139,37 @@ class _SortKeys(dict):
         return print_formula(f, self)
 
 
+class _World:
+    """A failed modal leaf: one world of the countermodel.
+
+    ante is the leaf's antecedent, whose atoms the world forces; children
+    are the witnesses of its failed box-rule premises, in the order they
+    were tried: a world, or a history hit, which is the depth of the
+    ancestor leaf with the same sequent (the root leaf has depth 0).
+    blocked says whether a history hit lies below, which keeps the failure
+    out of the memo.  A history hit holds only an int, so a failed search
+    keeps no sequent that it would otherwise free.
+    """
+
+    __slots__ = ("ante", "children", "blocked")
+
+    def __init__(self, ante: dict, children: list) -> None:
+        self.ante = ante
+        self.children = children
+        self.blocked = any(c.__class__ is int or c.blocked for c in children)
+
+
+_Witness = _World | int
+
+
 @dataclass
 class _SearchState:
     logic: Logic
     budget: Budget
     skeys: _SortKeys = field(default_factory=_SortKeys)
     memo_true: dict = field(default_factory=dict)
-    memo_false: set = field(default_factory=set)
+    memo_false: dict = field(default_factory=dict)  # (key, unboxed) -> unblocked witness
+    history: dict = field(default_factory=dict)  # key of each modal leaf on the branch -> its depth
     # looked up once per search: a Logic key hashes through the Python-level Enum.__hash__
     ranks: tuple = field(init=False)
     box_rule: _BoxRule = field(init=False)
@@ -277,30 +307,31 @@ def _decide(
     st: _SearchState,
     ante: dict,
     succ: dict,
-    history: frozenset,
     unboxed: frozenset,
-) -> tuple[_Macro | None, bool]:
-    """Search a capped-multiset sequent; returns (macro proof, blocked flag).
+) -> tuple[_Macro | None, _Witness | None]:
+    """Search a capped-multiset sequent; returns (macro proof, None) or (None, failure witness).
 
-    The blocked flag reports whether the failure involved a history cut; only
-    unblocked failures are history-independent and safe to cache.
+    Only unblocked failures (no history hit in their witness) are
+    history-independent and safe to cache.
     """
     key = frozenset(ante.items()), frozenset(succ.items())
     hit = st.memo_true.get(key)
     if hit is not None:
-        return hit, False
+        return hit, None
+    # membership, then an index on a hit: a .get and a None test here cost
+    # about 25 % on deep KD4 searches (CPython 3.11)
     if (key, unboxed) in st.memo_false:
-        return None, False
+        return None, st.memo_false[key, unboxed]
     st.budget.spend_step()
 
-    def done(m: _Macro) -> tuple[_Macro, bool]:
+    def done(m: _Macro) -> tuple[_Macro, None]:
         st.memo_true[key] = m
-        return m, False
+        return m, None
 
-    def fail(blocked: bool) -> tuple[None, bool]:
-        if not blocked:
-            st.memo_false.add((key, unboxed))
-        return None, blocked
+    def fail(w: _Witness) -> tuple[None, _Witness]:
+        if w.__class__ is not int and not w.blocked:
+            st.memo_false[key, unboxed] = w
+        return None, w
 
     # closure
     if BOT in ante:
@@ -344,16 +375,17 @@ def _decide(
             # unpacked first: a starred call leaves the interpreter's fast path for
             # Python-to-Python calls, which cost about 20 % on deep KD4 searches
             pa, ps = premise(_cap_add, f, rest, other)
-            sub, blocked = _decide(st, pa, ps, history, sub_unboxed)
+            sub, witness = _decide(st, pa, ps, sub_unboxed)
             if sub is None:
-                return fail(blocked)
+                return fail(witness)  # the failing premise's world refutes this sequent too
             subs.append(sub)
         return done(_Macro(rule.kind, ante, succ, f, tuple(subs)))
 
     # modal leaf: only atoms, bot and boxes remain
-    if key in history:
-        return None, True
-    history = history | {key}
+    history = st.history
+    if key in history:  # as for the memo, membership then an index
+        return None, history[key]
+    history[key] = len(history)
     box_rule = st.box_rule
     boxes, inner = _boxed_parts(ante)
     branches = [
@@ -362,14 +394,119 @@ def _decide(
     ]
     if st.logic == Logic.KD4 and boxes:
         branches.append(("boxDR", None, {}))
-    blocked_any = False
+    children = []
     for kind, bf, psucc in branches:
         pante = _capped(box_rule.ante(_cap_add, boxes, inner, bf))
-        sub, blocked = _decide(st, pante, psucc, history, frozenset())
+        sub, witness = _decide(st, pante, psucc, frozenset())
         if sub is not None:
+            del history[key]
             return done(_Macro(kind, ante, succ, bf, (sub,)))
-        blocked_any |= blocked
-    return fail(blocked_any)
+        children.append(witness)
+    del history[key]
+    return fail(_World(ante, children))
+
+
+# -- reading a countermodel off a failure witness ------------------------------
+
+
+def _world_graph(root: _World) -> tuple[list[_World], list[list[int]], list[int], list[int]]:
+    """The worlds that root reaches, in pre-order; each one's direct successors
+    (its children, a history hit resolved to its ancestor); each one's
+    cluster, named by the position of its shallowest world; and the
+    positions in post-order.
+
+    A history hit closes a cycle through the worlds on the path from its
+    ancestor down, which therefore form one cluster.  Only blocked worlds
+    hold history hits, each blocked world is the child of one world, and the
+    memo serves only unblocked ones, so the walk's stack is the search's
+    branch wherever a history hit is read: a hit's depth is a stack depth.
+    The walk keeps an explicit stack, as deep as the chain of modal leaves.
+    """
+    worlds, pos, succ, parent = [root], {root: 0}, [[]], [0]
+    post = []
+    stack = [(0, iter(root.children))]
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    while stack:
+        i, kids = stack[-1]
+        c = next(kids, None)
+        if c is None:
+            stack.pop()
+            post.append(i)
+        elif c.__class__ is int:
+            top = stack[c][0]
+            succ[i].append(top)
+            for j, _ in stack[c + 1:]:
+                parent[find(j)] = find(top)
+        else:
+            j = pos.get(c)
+            if j is None:
+                j = pos[c] = len(worlds)
+                worlds.append(c)
+                succ.append([])
+                parent.append(j)
+                stack.append((j, iter(c.children)))
+            succ[i].append(j)
+    return worlds, succ, [find(i) for i in range(len(worlds))], post
+
+
+def _search_model(logic: Logic, root: _World, names: list[str], max_nodes: int) -> KripkeModel | None:
+    """The countermodel of a failed search, refuting its goal at k0; None when it
+    has more than max_nodes nodes.
+
+    A world forces the atoms of its antecedent.  The worlds of one cycle are
+    one reflexive cluster, and so is every S4 world and every KD4 world
+    without successors.  K4, KD4 and S4 need a rooted tree of clusters, so
+    the cluster quotient is unravelled into one; a GL witness has no history
+    hits, and its worlds are the nodes of an irreflexive DAG.  The relation
+    is the transitive closure; nodes are named in pre-order, k0 the root.
+    """
+    if not root.children:  # most failed searches: one world, and no graph to read
+        placed = [root]
+        relation = frozenset({("k0", "k0")}) if logic in (Logic.KD4, Logic.S4) else frozenset()
+        tree_clusters = None if logic == Logic.GL else (frozenset({"k0"}),)
+    elif logic == Logic.GL:
+        placed, succ, _, post = _world_graph(root)
+        if len(placed) > max_nodes:
+            return None
+        seen = [0] * len(placed)  # bit j: the world sees world j; post-order closes it bottom-up
+        for i in post:
+            for j in succ[i]:
+                seen[i] |= seen[j] | 1 << j
+        relation = frozenset((f"k{i}", f"k{j}") for i, row in enumerate(seen)
+                             for j in range(len(placed)) if row >> j & 1)
+        tree_clusters = None
+    else:
+        worlds, succ, cluster, _ = _world_graph(root)
+        members: dict[int, list[int]] = {}
+        for i, c in enumerate(cluster):
+            members.setdefault(c, []).append(i)
+        placed, tree_clusters, pairs = [], [], []
+        todo = [(0, ())]  # (cluster, the names of its copy's ancestors)
+        while todo:
+            c, above = todo.pop()
+            ms = members[c]
+            if len(placed) + len(ms) > max_nodes:
+                return None
+            below = dict.fromkeys(cluster[j] for i in ms for j in succ[i] if cluster[j] != c)
+            names_here = tuple(f"k{len(placed) + t}" for t in range(len(ms)))
+            placed += [worlds[i] for i in ms]
+            tree_clusters.append(frozenset(names_here))
+            pairs += [(a, b) for a in above for b in names_here]
+            if (logic == Logic.S4 or len(ms) > 1 or ms[0] in succ[ms[0]]
+                    or (logic == Logic.KD4 and not below)):
+                pairs += [(a, b) for a in names_here for b in names_here]
+            todo += [(d, above + names_here) for d in reversed(below)]
+        relation = frozenset(pairs)
+        tree_clusters = tuple(tree_clusters)
+    nodes = tuple(f"k{t}" for t in range(len(placed)))
+    true_atoms = [{f.name for f in w.ante if f.__class__ is Atom} for w in placed]
+    valuation = {a: frozenset(k for k, ts in zip(nodes, true_atoms) if a in ts) for a in names}
+    return KripkeModel(nodes, relation, valuation, tree_clusters)
 
 
 # -- replaying a successful search into a primitive-rule derivation ----------
@@ -473,15 +610,17 @@ def _normalized(s: Sequent) -> Sequent:
     return Sequent(tuple(normalize_top(f) for f in s.ante), tuple(normalize_top(f) for f in s.succ))
 
 
-def _search(logic: Logic, s: Sequent, budget: Budget) -> tuple[_SearchState, Sequent, Sequent, _Macro | None]:
+def _search(logic: Logic, s: Sequent,
+            budget: Budget) -> tuple[_SearchState, Sequent, Sequent, _Macro | None, _World | None]:
     """Shared by prove and search_provable: (state, searched sequent, its top-normalized
-    form, macro proof or None).  GLS searches its GL reduction instance."""
+    form, macro proof or None, failure witness or None).  GLS searches its GL
+    reduction instance."""
     if logic == Logic.GLS:
         logic, s = Logic.GL, Sequent((), (gls_reduce(_sequent_goal(s)),))
     st = _SearchState(logic, budget)
     norm = _normalized(s)
-    proof, _ = _decide(st, _capped(_count(norm.ante)), _capped(_count(norm.succ)), frozenset(), frozenset())
-    return st, s, norm, proof
+    proof, witness = _decide(st, _capped(_count(norm.ante)), _capped(_count(norm.succ)), frozenset())
+    return st, s, norm, proof, witness
 
 
 def search_provable(logic: Logic, s: Sequent, budget: Budget | None = None) -> bool | None:
@@ -496,13 +635,18 @@ def search_provable(logic: Logic, s: Sequent, budget: Budget | None = None) -> b
 def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult:
     """Decide a sequent: a checkable cut-free derivation, or a verified countermodel.
 
+    The countermodel is read off the failed search.  Only when it has more
+    nodes than the budget's bound (the larger of max_nodes and
+    escalate_nodes) does find_countermodel scan the frames up to that bound
+    instead, so a verdict is Exhausted exactly where that scan finds nothing.
+
     GLS is decided by reduction: Provable carries the GL derivation of the
     reduced sequent; NotProvable carries the failed reduction instance with
     its GL countermodel as evidence (GLS has no frame class here).
     """
     budget = budget if budget is not None else Budget()
     try:
-        st, searched, norm, proof = _search(logic, s, budget)
+        st, searched, norm, proof, witness = _search(logic, s, budget)
     except BudgetExhausted as e:
         return Exhausted(logic, s, e.reason)
     reduction = searched.succ[0] if logic == Logic.GLS else None
@@ -514,6 +658,12 @@ def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult
     goal = searched.formula()
     frame_class = FRAME_OF_LOGIC[st.logic]
     max_nodes = max(budget.max_nodes, budget.escalate_nodes)
+    model = _search_model(st.logic, witness, sorted(atoms(goal)), max_nodes)
+    if model is not None:
+        # evidence, not trust: a model that fails either check is a bug, never a fallback
+        if validate_frame(model, frame_class) != [] or check(model, "k0", goal):
+            raise AssertionError("countermodel failed re-verification")
+        return NotProvable(logic, s, model, "k0", reduction)
     try:
         hit = find_countermodel(goal, frame_class, max_nodes, budget)
     except BudgetExhausted as e:

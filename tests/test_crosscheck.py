@@ -1,10 +1,12 @@
 import hashlib
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
 from provlab.corpus import CorpusParams, generate_corpus
-from provlab.crosscheck import SUITES, _valid_translations, run_crosscheck
+from provlab.crosscheck import SUITES, CrosscheckReport, _valid_translations, run_crosscheck
 from provlab.formulas import Atom, Box, Imp, parse_modal
 from provlab.provability import translation_valid
 
@@ -53,14 +55,15 @@ def test_oracle_reports_are_reproducible():
     assert a == b
 
 
-# sha256 of the report bytes on SMALL.  The reports carry derivation evidence
-# hashes, so a change to any derivation shows here, across processes and hash
-# seeds.  SMALL is sampled with random.Random, so the digests assume Python 3.11.
+# sha256 of the report bytes on SMALL.  The reports carry derivation and
+# countermodel evidence hashes, so a change to any derivation, or to any model
+# read off a failed search, shows here, across processes and hash seeds.
+# SMALL is sampled with random.Random, so the digests assume Python 3.11.
 ORACLE_REPORT_DIGESTS = {
-    "oracle-k4": "ccc682ba786cdd311e2f1d7ee2a65d010f9383da4c06a2e2e975b63171eeacf8",
-    "oracle-kd4": "05747c4cf7e74b0499917e16e72c863c547246839b52022759391db048ceddad",
-    "oracle-s4": "022df2de54293d143bf4eda5342a9c5fe59487c01a0ddb707db625f444b920e8",
-    "oracle-gl": "d6876f3d3f06405ecda26849fa500b64a968cf7b59372ec8ced40f44c405cbe5",
+    "oracle-k4": "f7424d21d9e3bd33c99d59571bed4b9fd0de6a5bf0192393877cc5b720ce6895",
+    "oracle-kd4": "ca454de56383db90b5b5762688a0fa181fbd03e33ee4615a0d47fdaf2fe9fee0",
+    "oracle-s4": "9b57a5d46152326f876d6645a725798bd6b72cac0f60652eb58b6d03564c2f19",
+    "oracle-gl": "6d2002e41498ca076400d73c97fa1dd4a56d95897ff85058f616a702812417ce",
 }
 
 
@@ -121,6 +124,41 @@ def test_lattice_suite_small():
     small_modal = generate_corpus(CorpusParams(("p", "q"), 5, 2, 40, 2))
     r = run_crosscheck("lattice", corpus=small_modal)
     assert r.ok
+
+
+def test_lattice_params_carry_the_node_bound():
+    # prove_prop's countermodel scan reads max_nodes, and on SMALL one item is
+    # exhausted at 1 node and none at 2: reports of different bounds differ in params
+    low, high = (run_crosscheck("lattice", corpus=SMALL, max_nodes=n) for n in (1, 2))
+    assert (low.params["max_nodes"], high.params["max_nodes"]) == (1, 2)
+    assert (low.summary["exhausted"], high.summary["exhausted"]) == (1, 0)
+
+
+def _run_crosschecks_script():
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_crosschecks.py"
+    spec = importlib.util.spec_from_file_location("run_crosschecks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_against_names_the_parts_that_differ():
+    describe = _run_crosschecks_script().describe_difference
+
+    def report(params, summary, *records):
+        r = CrosscheckReport("oracle-k4", params, [{"index": i, **rec} for i, rec in enumerate(records)], summary)
+        return r.to_json().encode()
+
+    old = report({"max_nodes": 6}, {"items": 3}, {"verdict": "n", "evidence": "a"},
+                 {"verdict": "n", "evidence": "b"}, {"verdict": "p", "evidence": "c"})
+    new = report({"max_nodes": 6}, {"items": 3}, {"verdict": "n", "evidence": "A"},
+                 {"verdict": "n", "evidence": "B"}, {"verdict": "p", "evidence": "c"})
+    assert describe(old, new) == "summary same; 2 records differ in evidence"
+    new = report({"max_nodes": 5}, {"items": 2}, {"verdict": "p", "evidence": "A", "status": "x"},
+                 {"verdict": "n", "evidence": "b"})
+    assert describe(old, new) == ("params differ; summary differs; 1 record differs in evidence, 1 in status, "
+                                  "1 in verdict; 1 record in one report only")
+    assert describe(old, old) == "summary same; no record differs"
 
 
 def test_all_suite_names_run():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -21,7 +22,8 @@ from provlab.formulas import (
     print_formula,
 )
 from provlab.frames import find_countermodel
-from provlab.kripke import check, validate_frame
+from provlab.kripke import KripkeModel, check, validate_frame
+from provlab.provability import translate_bhk
 from provlab import prover
 from provlab.prover import (
     FRAME_OF_LOGIC,
@@ -306,6 +308,55 @@ def test_corpus_searches_are_pinned():
     assert h.hexdigest() == CORPUS_SEARCH_DIGEST
 
 
+# The corpora of the search-model test: the default corpus in every modal
+# logic, the box-free one under the b translation in K4, KD4, S4 and GL, and
+# under w in S4.
+def _search_model_cases():
+    default = generate_corpus(DEFAULT_PARAMS).formulas
+    box_free = generate_corpus(BOX_FREE_PARAMS).formulas
+    for logic in (Logic.K4, Logic.KD4, Logic.S4, Logic.GL, Logic.GLS):
+        yield f"default {logic.name}", logic, default
+    for logic in (Logic.K4, Logic.KD4, Logic.S4, Logic.GL):
+        yield f"b {logic.name}", logic, [translate_bhk(f, "b") for f in box_free]
+    yield "w S4", Logic.S4, [translate_bhk(f, "w") for f in box_free]
+
+
+# Per case: (models read off the search, NotProvable verdicts that fell back
+# to find_countermodel because the search's model had more nodes than the
+# default bound of 8).  Each fallback found a countermodel.
+SEARCH_MODEL_COUNTS = {
+    "default K4": (1136, 0), "default KD4": (1123, 0), "default S4": (1116, 0),
+    "default GL": (1136, 0), "default GLS": (1116, 0),
+    "b K4": (1182, 47), "b KD4": (873, 323), "b S4": (1118, 73), "b GL": (1224, 1),
+    "w S4": (1208, 89),
+}
+# sha256 over "<case> <one letter per formula: P, N or X>\n" in case order:
+# the verdicts of prove from before countermodels were read off the search
+SEARCH_MODEL_VERDICTS_DIGEST = "d33c9aafe4f5e0a731c5d3190bda2419000a289cdbd7711c3783faf381874b6d"
+
+
+def test_search_models_over_the_corpora(monkeypatch):
+    fallbacks = []
+    scan = prover.find_countermodel
+    monkeypatch.setattr(prover, "find_countermodel", lambda *args: fallbacks.append(args) or scan(*args))
+    h = hashlib.sha256()
+    counts = {}
+    for case, logic, fs in _search_model_cases():
+        letters, built, before = [], 0, len(fallbacks)
+        for f in fs:
+            res = prove(logic, Sequent((), (f,)))
+            letters.append({Provable: "P", NotProvable: "N", Exhausted: "X"}[type(res)])
+            if isinstance(res, NotProvable):
+                target, frame = (res.reduction, Logic.GL) if logic == Logic.GLS else (f, logic)
+                assert validate_frame(res.model, FRAME_OF_LOGIC[frame]) == [], (case, f)
+                assert check(res.model, res.node, target) is False, (case, f)
+                built += 1
+        counts[case] = (built - (len(fallbacks) - before), len(fallbacks) - before)
+        h.update(f"{case} {''.join(letters)}\n".encode())
+    assert counts == SEARCH_MODEL_COUNTS
+    assert h.hexdigest() == SEARCH_MODEL_VERDICTS_DIGEST
+
+
 def test_exhausted_reason_names_the_largest_bound_searched():
     s = Sequent((), (parse_modal("[]p \\/ []~p"),))
     res = prove(Logic.K4, s, Budget(max_nodes=1, escalate_nodes=0))
@@ -322,16 +373,74 @@ def test_escalation_defaults_to_two_nodes_past_max_nodes():
 
 
 def test_escalation_scans_each_size_once():
-    # the first countermodel needs two nodes, past max_nodes: escalation
-    # charges one scan of sizes 1..3, not a scan of size 1 and then another
+    # the search's model has three nodes, past the bound of 2, so the scan
+    # decides; the first countermodel needs two nodes, past max_nodes, and the
+    # scan charges one pass over sizes 1..2, not a pass of size 1 and another
     s = Sequent((), (parse_modal("[]p \\/ []~p"),))
-    budget = Budget(max_nodes=1, escalate_nodes=3)
+    budget = Budget(max_nodes=1, escalate_nodes=2)
     res = prove(Logic.K4, s, budget)
     single = Budget()
-    hit = find_countermodel(s.formula(), FRAME_OF_LOGIC[Logic.K4], 3, single)
+    hit = find_countermodel(s.formula(), FRAME_OF_LOGIC[Logic.K4], 2, single)
     assert isinstance(res, NotProvable) and len(res.model.nodes) == 2
     assert (res.model.to_json(), res.node) == (hit[0].to_json(), hit[1])
     assert budget.models_used == single.models_used
+
+
+def test_search_model_within_the_escalation_bound():
+    # the model read off the search: a root that sees one world refuting p
+    # and one forcing it; within the bound of 3 it is returned, with no scan
+    s = Sequent((), (parse_modal("[]p \\/ []~p"),))
+    budget = Budget(max_nodes=1, escalate_nodes=3)
+    res = prove(Logic.K4, s, budget)
+    assert isinstance(res, NotProvable) and budget.models_used == 0
+    m = res.model
+    assert (m.nodes, res.node) == (("k0", "k1", "k2"), "k0")
+    assert m.relation == {("k0", "k1"), ("k0", "k2")}
+    assert m.valuation == {"p": frozenset({"k2"})}
+    assert validate_frame(m, FRAME_OF_LOGIC[Logic.K4]) == [] and not check(m, "k0", s.formula())
+
+
+def test_deep_gl_refutation_needs_no_enumeration():
+    # the search refutes []^7(p \/ q) in 9 steps; scanning the GL frames up to
+    # 8 nodes for it took 44 s and ended Exhausted
+    s = Sequent((), (parse_modal("[]" * 7 + "(p \\/ q)"),))
+    budget = Budget()
+    t0 = time.perf_counter()
+    res = prove(Logic.GL, s, budget)
+    assert time.perf_counter() - t0 < 1.0
+    assert isinstance(res, NotProvable) and budget.models_used == 0
+    nodes = tuple(f"k{i}" for i in range(8))
+    assert res.model.nodes == nodes and res.node == "k0"
+    assert res.model.relation == {(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]}
+    assert validate_frame(res.model, FRAME_OF_LOGIC[Logic.GL]) == []
+    assert check(res.model, "k0", s.formula()) is False
+
+
+def _drop_edge(m: KripkeModel, edge) -> KripkeModel:
+    return KripkeModel(m.nodes, m.relation - {edge}, m.valuation, m.clusters)
+
+
+def _flip_root_atom(m: KripkeModel, atom) -> KripkeModel:
+    return KripkeModel(m.nodes, m.relation, {**m.valuation, atom: m.valuation[atom] ^ {"k0"}}, m.clusters)
+
+
+@pytest.mark.parametrize("logic,text,mutate", [
+    (Logic.K4, "[]p \\/ []~p", lambda m: _drop_edge(m, ("k0", "k1"))),  # then k0 forces []p
+    (Logic.S4, "p -> []p", lambda m: _drop_edge(m, ("k0", "k0"))),  # not reflexive
+    (Logic.K4, "[]p -> p", lambda m: _flip_root_atom(m, "p")),  # then k0 forces p
+], ids=["drop-edge", "drop-loop", "flip-atom"])
+def test_a_broken_search_model_raises(monkeypatch, logic, text, mutate):
+    build = prover._search_model
+    monkeypatch.setattr(prover, "_search_model", lambda *args: mutate(build(*args)))
+
+    def no_scan(*args):
+        raise AssertionError("fell back to enumeration")
+
+    monkeypatch.setattr(prover, "find_countermodel", no_scan)
+    budget = Budget()
+    with pytest.raises(AssertionError, match="countermodel failed re-verification"):
+        prove(logic, Sequent((), (parse_modal(text),)), budget)
+    assert budget.models_used == 0
 
 
 def capped_sequents():
@@ -397,7 +506,7 @@ def sides(ante, succ):
 def test_first_step_is_the_table_order_pick(logic, sequent, unboxed):
     ante, succ = sequent
     try:
-        macro, _ = prover._decide(prover._SearchState(logic, Budget()), ante, succ, frozenset(), unboxed)
+        macro, _ = prover._decide(prover._SearchState(logic, Budget()), ante, succ, unboxed)
     except BudgetExhausted:
         macro = None
     # a failed search returns no macro, so only proofs show their first step
