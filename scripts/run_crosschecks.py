@@ -13,7 +13,8 @@ With --against DIR, each report's bytes are also compared with DIR/<suite>.json
 A `DIFFERS` line also says whether the params and the summary are equal, and
 how many records differ, counted per key: `summary same; 41 records differ in
 evidence` says that only evidence hashes moved.  Records are matched by
-index; those in one report only are counted apart.
+index, and those sharing an index (a lattice item's violated chains) by
+their order; those in one report only are counted apart.
 Exits nonzero if any suite reports a disagreement or evidence failure, or
 under --against if any report differs.
 """
@@ -32,13 +33,23 @@ from provlab.corpus import generate_corpus
 from provlab.crosscheck import SUITES, run_crosscheck, suite_params
 
 
+def _by_index(records: list[dict]) -> dict[tuple[int, int], dict]:
+    """Records keyed by (index, place among the records with that index): a
+    lattice report holds one record per violated chain of an item."""
+    seen: dict[int, int] = {}
+    keyed = {}
+    for r in records:
+        n = seen[r["index"]] = seen.get(r["index"], -1) + 1
+        keyed[r["index"], n] = r
+    return keyed
+
+
 def describe_difference(previous: bytes, body: bytes) -> str:
     """Which parts of two reports differ: params, summary, and per key the records."""
     old, new = json.loads(previous), json.loads(body)
     parts = [] if old["params"] == new["params"] else ["params differ"]
     parts.append("summary same" if old["summary"] == new["summary"] else "summary differs")
-    old_records = {r["index"]: r for r in old["records"]}
-    new_records = {r["index"]: r for r in new["records"]}
+    old_records, new_records = _by_index(old["records"]), _by_index(new["records"])
     per_key: dict[str, int] = {}
     for i in old_records.keys() & new_records.keys():
         a, b = old_records[i], new_records[i]

@@ -465,11 +465,7 @@ def _search_model(logic: Logic, root: _World, names: list[str], max_nodes: int) 
     hits, and its worlds are the nodes of an irreflexive DAG.  The relation
     is the transitive closure; nodes are named in pre-order, k0 the root.
     """
-    if not root.children:  # most failed searches: one world, and no graph to read
-        placed = [root]
-        relation = frozenset({("k0", "k0")}) if logic in (Logic.KD4, Logic.S4) else frozenset()
-        tree_clusters = None if logic == Logic.GL else (frozenset({"k0"}),)
-    elif logic == Logic.GL:
+    if logic == Logic.GL:
         placed, succ, _, post = _world_graph(root)
         if len(placed) > max_nodes:
             return None

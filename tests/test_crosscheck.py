@@ -160,6 +160,16 @@ def test_against_names_the_parts_that_differ():
                                   "1 in verdict; 1 record in one report only")
     assert describe(old, old) == "summary same; no record differs"
 
+    # a lattice item holds one record per violated chain, all under its index
+    def lattice(*records):
+        return CrosscheckReport("lattice", {}, [{"index": 7, **rec} for rec in records], {}).to_json().encode()
+
+    two = lattice({"weaker": "K4", "stronger": "KD4"}, {"weaker": "K4", "stronger": "GL"})
+    assert describe(two, two) == "summary same; no record differs"
+    assert describe(two, lattice({"weaker": "KD4", "stronger": "S4"}, {"weaker": "K4", "stronger": "GL"})) == (
+        "summary same; 1 record differs in stronger, 1 in weaker")
+    assert describe(two, lattice({"weaker": "K4", "stronger": "KD4"})) == "summary same; 1 record in one report only"
+
 
 def test_all_suite_names_run():
     # the names and their order: the CLI's choices and the report order follow it
