@@ -14,10 +14,12 @@ The last line of each run's output is its JSON result.
 item on modal-evidence and unwind-transfer, but one pass of 8 sweeps (4000
 items) on oracle-sweep, so one N does not size equal work across workloads.
 The summary line prints each side's median `attempted` items per run.  In a
-fixed-time run the harness's own records grow by about 67 bytes per
-completed item (one latency and one token per item, and the end-of-run
-statistics), so a faster tree completes more items and reads a higher peak
-for that reason alone.
+fixed-time run the harness holds memory per completed item (one latency and
+one token per item, and the end-of-run statistics): peak RSS grows by about
+67 bytes per item on oracle-sweep, but by about 145 bytes per item on
+modal-evidence, so a faster tree completes more items and reads a higher
+peak for that reason alone (on modal-evidence, about +6 % peak RSS per +25 %
+items).
 
 For every end-to-end metric in BENCHMARK.json the script prints each side's
 median and quartiles, the ratio of the medians, the pairs the working tree

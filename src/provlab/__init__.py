@@ -40,7 +40,7 @@ from .kripke import (
     int_frame,
     validate_frame,
 )
-from .prop import PropLogic, crosscheck_prop, prove_prop
+from .prop import PropLogic, prove_prop
 from .prover import Exhausted, NotProvable, Provable, derives, gls_reduce, prove
 from .provability import (
     canonical_witness,

@@ -3,7 +3,17 @@
 A derivation is a tree of sequents, each node labeled by a rule name.  The
 checker matches rule instances up to reordering: contexts are compared as
 multisets while main formulas must occur literally.  Exchange is therefore
-admissible rather than a rule; weakening and contraction stay explicit.
+admissible rather than a rule.  The axioms and the right box rules take
+contexts S, D (Troelstra & Schwichtenberg, Basic Proof Theory, ch. 9; Avron,
+JSL 49, 1984 for GL), so weakening is admissible; it stays a rule, as do
+contraction and cut, and the exact forms A => A, bot =>, []G => []A are
+instances:
+
+  Axiom-Id   S, A => A, D            Axiom-Bot  S, bot => D
+  Box4R      S, []G => []A, D  from  G, []G => A
+  BoxSR      S, []G => []A, D  from  []G => A
+  GLR        S, []G => []A, D  from  G, []G, []A => A
+  BoxDR      S, []G => D       from  G, []G =>
 
 A multiset is a plain dict from formula to count that never holds a zero
 count, so multisets are equal exactly when their dicts are.  The checker
@@ -19,7 +29,8 @@ from the prover's own rule tables, which this module checks): ONE_PREMISE
 gives a rule's principal formula and a test of its premise, SPLIT the active
 formulas of the rules whose two premises split the context, and ARITY every
 rule's premise count.  The axioms and right box rules read the whole
-antecedent and stay explicit code.
+conclusion and stay explicit code; a box rule reads its []G off the premise,
+so it too is checked without search.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .formulas import And, Bot, Box, Formula, Imp, Neg, Or, Sequent, print_sequent
+from .formulas import And, Bot, Box, Formula, Imp, Neg, Or, Sequent, print_sequent, size
 
 
 class Logic(Enum):
@@ -110,16 +121,6 @@ def _sum(a: dict, b: dict) -> dict:
     return out
 
 
-def _unboxed(c: dict) -> dict | None:
-    """The unboxings of c if every formula in c is boxed, else None."""
-    inner = {}
-    for f, n in c.items():
-        if not isinstance(f, Box):
-            return None
-        inner[f.sub] = inner.get(f.sub, 0) + n
-    return inner
-
-
 ANTE, SUCC = 0, 1
 
 # One-premise rules.  rule: (side of the principal formula f, its connective or
@@ -176,38 +177,43 @@ def _without(counts: tuple[dict, dict], side: int, f: Formula) -> tuple[dict, di
     return (_minus(counts[0], f), counts[1]) if side == ANTE else (counts[0], _minus(counts[1], f))
 
 
-def _whole_error(rule: str, concl: Sequent, ca: dict, pas: list[tuple[dict, dict]]) -> str | None:
-    """_rule_error for the axioms and the right box rules, which read the whole antecedent."""
+def _box_context(ca: dict, pa: dict) -> tuple[dict, dict]:
+    """([]G, G) read off a premise pa = G, []G, with []G drawn from the boxed formulas
+    of the conclusion's antecedent ca.  pa holds []B once per []B and once per [][]B
+    in []G, so taking the larger formulas first fixes each count without search."""
+    boxed, inner = {}, {}
+    for g in sorted((g for g in ca if isinstance(g, Box)), key=size, reverse=True):
+        n = pa.get(g, 0) - inner.get(g, 0)
+        if n > 0:
+            boxed[g] = n
+            inner[g.sub] = inner.get(g.sub, 0) + n
+    return boxed, inner
+
+
+def _whole_error(rule: str, ca: dict, cs: dict, pas: list[tuple[dict, dict]]) -> str | None:
+    """_rule_error for the axioms and the right box rules, whose context is the rest of the conclusion."""
     if rule == AXIOM_ID:
-        if len(concl.ante) == 1 and len(concl.succ) == 1 and concl.ante[0] == concl.succ[0]:
-            return None
-        return "Axiom-Id must be exactly A => A"
+        return None if any(f in cs for f in ca) else "Axiom-Id needs one formula on both sides"
     if rule == AXIOM_BOT:
-        if concl.ante == (Bot(),) and concl.succ == ():
-            return None
-        return "Axiom-Bot must be exactly bot =>"
+        return None if Bot() in ca else "Axiom-Bot needs bot in the antecedent"
     pa, ps = pas[0]
-    inner = _unboxed(ca)
-    if inner is None:
-        return f"{rule} conclusion antecedent must be all boxed"
-    if rule == "BoxDR":
-        if concl.succ != () or ps:
-            return "BoxDR needs empty succedents"
-    else:
-        if len(concl.succ) != 1 or not isinstance(concl.succ[0], Box):
-            return f"{rule} conclusion succedent must be a single boxed formula"
-        if ps != {concl.succ[0].sub: 1}:
-            return f"{rule} premise succedent must be the unboxed formula"
-    want = ca if rule == "BoxSR" else _sum(ca, inner)
+    a = next(iter(ps), None)
+    if rule == "BoxDR" and ps:
+        return "BoxDR premise succedent must be empty"
+    if rule != "BoxDR" and (ps != {a: 1} or Box(a) not in cs):
+        return f"{rule} premise succedent must be A for a []A of the conclusion"
     if rule == "GLR":  # the diagonal formula
-        want = _plus(want, concl.succ[0])
-    if pa == want:
+        if Box(a) not in pa:
+            return "GLR premise antecedent does not match"
+        pa = _minus(pa, Box(a))
+    boxed, inner = (pa, {}) if rule == "BoxSR" else _box_context(ca, pa)
+    if pa == _sum(boxed, inner) and all(isinstance(g, Box) and ca.get(g, 0) >= n for g, n in boxed.items()):
         return None
     return f"{rule} premise antecedent does not match"
 
 
-def _rule_error(rule: str, concl: Sequent, counts: tuple[dict, dict], pas: list[tuple[dict, dict]]) -> str | None:
-    """None if concl (as the multisets counts) over premises pas is an instance of rule, else a reason."""
+def _rule_error(rule: str, counts: tuple[dict, dict], pas: list[tuple[dict, dict]]) -> str | None:
+    """None if the conclusion (as the multisets counts) over premises pas is an instance of rule, else a reason."""
     if len(pas) != ARITY[rule]:
         return f"{rule} expects {ARITY[rule]} premise(s), got {len(pas)}"
     ca, cs = counts
@@ -230,7 +236,7 @@ def _rule_error(rule: str, concl: Sequent, counts: tuple[dict, dict], pas: list[
             if want[ANTE] == _sum(rest1[ANTE], rest2[ANTE]) and want[SUCC] == _sum(rest1[SUCC], rest2[SUCC]):
                 return None
         return message
-    return _whole_error(rule, concl, ca, pas)
+    return _whole_error(rule, ca, cs, pas)
 
 
 def diagnose_derivation(logic: Logic, d: Derivation) -> str | None:
@@ -246,7 +252,7 @@ def diagnose_derivation(logic: Logic, d: Derivation) -> str | None:
         if d.rule not in allowed:
             return f"rule {d.rule} is not part of G({logic.value}) (at {_path(trail)})"
         pas = [_counts(p) for p in d.premises]
-        err = _rule_error(d.rule, d.sequent, counts, pas)
+        err = _rule_error(d.rule, counts, pas)
         if err is not None:
             return f"{err} (at {_path(trail)}: {print_sequent(d.sequent)})"
         for i in range(len(pas) - 1, -1, -1):

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .formulas import And, Atom, BOT, Box, Formula, Imp, InputError, Neg, Or, TOP, print_formula
 
-_EXHAUSTIVE_LIMIT = 500_000
+_EXHAUSTIVE_LIMIT = 500_000  # the most formulas in one corpus, enumerated or sampled
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,8 @@ def generate_corpus(params: CorpusParams) -> Corpus:
             raise InputError(f"{total} formulas within bounds; pass sample_size to down-sample")
         indices = range(total)
     else:
+        if params.sample_size > _EXHAUSTIVE_LIMIT:
+            raise InputError(f"sample of {params.sample_size} formulas is above the bound of {_EXHAUSTIVE_LIMIT}")
         rng = random.Random(params.seed)
         indices = sorted(rng.sample(range(total), params.sample_size))
     formulas = tuple(enum.formula_at(i, params.max_connectives) for i in indices)

@@ -21,7 +21,7 @@ from .frames import find_entailment_countermodel
 # check_int and validate_frame are unused here; kept because the benchmark's
 # tracer wraps provlab.prop.check_int and provlab.prop.validate_frame
 from .kripke import INT_FLAVORS, KripkeModel, check_int, int_frame, validate_frame
-from .prover import Exhausted, NotProvable, Provable, ProveResult, derives
+from .prover import Exhausted, Provable, ProveResult, derives
 from .provability import translate_bhk
 
 
@@ -100,36 +100,3 @@ def prove_prop(
         # a hit is re-checked by check_int, which validates the frame first
         cm = find_entailment_countermodel(gamma, a, int_frame(logic.value), countermodel_nodes)
     return PropVerdict(provable=False, countermodel=cm, **base)
-
-
-@dataclass(frozen=True)
-class PropCrosscheck:
-    logic: PropLogic
-    formula: Formula
-    translation_verdict: bool | None
-    semantics_refuted: bool
-    countermodel: tuple[KripkeModel, str] | None
-    hard_failure: bool  # semantic refutation despite a Provable translation verdict
-    agree: bool
-
-
-def crosscheck_prop(
-    logic: PropLogic, f: Formula, max_nodes: int = 5, budget: Budget | None = None
-) -> PropCrosscheck:
-    """Compare the translation verdict with direct bounded Kripke semantics.
-
-    A refutation within the bound against a Provable verdict is a hard
-    failure; a NotProvable verdict without a small refutation only means the
-    bound was too small and is reported as a (benign) disagreement.
-    """
-    if logic not in DIRECT_SEMANTICS:
-        raise ValueError(f"{logic.value} has no direct semantics in this workbench")
-    verdict = prove_prop(logic, (), f, budget, countermodel_nodes=max_nodes)
-    if verdict.provable is False:
-        hit = verdict.countermodel
-    else:
-        hit = find_entailment_countermodel((), f, int_frame(logic.value), max_nodes)
-    refuted = hit is not None
-    hard = refuted and verdict.provable is True
-    agree = (verdict.provable is True and not refuted) or (verdict.provable is False and refuted)
-    return PropCrosscheck(logic, f, verdict.provable, refuted, hit, hard, agree)

@@ -45,6 +45,11 @@ from .formulas import (
 
 Witness = tuple[int, ...]
 
+# How far an entry of a K4-to-GL translation may exceed the number of boxes:
+# an entry n conjoins n + 1 fresh atoms under its box (a valid translation of
+# k nested boxes needs entries up to k - 1), so the work stays linear in the input.
+MAX_ENTRY_OVER_BOXES = 64
+
 BHK = "b"
 WEAK_BHK = "w"
 GODEL = "g"
@@ -379,13 +384,17 @@ def translate_bhk(f: Formula, flavor: str) -> Formula:
 def translate_k4_to_gl(a: Formula, t: Witness) -> Formula:
     """Relativize each box: Box(B) with assigned n becomes Box(q0 /\\ ... /\\ qn -> B).
 
-    t must be a valid translation for a and a must not use the q-indexed atoms.
+    t must be a valid translation for a, with no entry more than
+    MAX_ENTRY_OVER_BOXES above its length, and a must not use the q-indexed atoms.
     """
     for name in atoms(a):
         if RESERVED_ATOM_RE.match(name) and name != WEAK_BHK_ATOM:
             raise ReservedAtomCollision(f"input already uses the reserved atom {name!r}")
     if not translation_valid(t, a):
         raise InvalidWitnessError(f"{t} is not a valid translation for the formula")
+    if max(t, default=-1) > len(t) + MAX_ENTRY_OVER_BOXES:
+        raise InvalidWitnessError(f"translation entry {max(t)} is above the bound of {len(t) + MAX_ENTRY_OVER_BOXES}"
+                                  f" ({MAX_ENTRY_OVER_BOXES} over the box count)")
 
     # prefixes[n] is q0 /\ ... /\ qn, left-associated; the boxes share them
     prefixes = list(accumulate((Atom(f"q{i}") for i in range(max(t, default=-1) + 1)), And))

@@ -6,7 +6,11 @@ standard contraction bound for these calculi).  Fully invertible steps
 eagerly; the non-invertible box rules branch, with a history check blocking
 any sequent repeated along a branch.  A successful search is replayed into a
 cut-free derivation made of the primitive rules only, so every Provable
-verdict is independently checkable.  A failed search leaves a failure
+verdict is independently checkable.  The replay runs on the exact sequents,
+which hold each formula at least as often as the capped search did: the
+axioms and right box rules take the surplus as context, so the replay never
+weakens, and it contracts only under the rules that copy a context or their
+principal formula.  A failed search leaves a failure
 witness: the worlds of its failed modal leaves, joined by their failed box
 premises and by history hits.  A NotProvable verdict carries the Kripke
 countermodel read off that witness (a finite tree of clusters, or an
@@ -274,18 +278,18 @@ _RULE_OF_KIND = {r.kind: r for r in _INVERTIBLE}
 class _BoxRule:
     kind: str  # macro kind
     primitive: str  # rule name in the replayed derivation
-    ante: Callable  # (add, boxes, inner, principal) -> premise antecedent
+    ante: Callable  # (boxes, inner, principal) -> premise antecedent, exact
 
 
 # The right box rule of each logic, for a leaf of atoms, bot and boxes.  Its
 # premise is (ante => principal.sub); KD4 may also close by BoxDR, whose
 # premise antecedent is KD4's own (it does not read the principal).
-_BOX4R = _BoxRule("box4R", "Box4R", lambda add, boxes, inner, bf: _sum(boxes, inner))
+_BOX4R = _BoxRule("box4R", "Box4R", lambda boxes, inner, bf: _sum(boxes, inner))
 _BOX_RULE = {
     Logic.K4: _BOX4R,
     Logic.KD4: _BOX4R,
-    Logic.S4: _BoxRule("boxSR", "BoxSR", lambda add, boxes, inner, bf: boxes),
-    Logic.GL: _BoxRule("GLR", "GLR", lambda add, boxes, inner, bf: add(_sum(boxes, inner), bf)),  # the diagonal formula
+    Logic.S4: _BoxRule("boxSR", "BoxSR", lambda boxes, inner, bf: boxes),
+    Logic.GL: _BoxRule("GLR", "GLR", lambda boxes, inner, bf: _plus(_sum(boxes, inner), bf)),  # the diagonal formula
 }
 # Per logic, (antecedent ranks, succedent ranks): each maps a connective to the
 # row of _INVERTIBLE whose principal formula it is, so one scan of a sequent
@@ -396,7 +400,7 @@ def _decide(
         branches.append(("boxDR", None, {}))
     children = []
     for kind, bf, psucc in branches:
-        pante = _capped(box_rule.ante(_cap_add, boxes, inner, bf))
+        pante = _capped(box_rule.ante(boxes, inner, bf))
         sub, witness = _decide(st, pante, psucc, frozenset())
         if sub is not None:
             del history[key]
@@ -518,48 +522,43 @@ def _seq_of(st: _SearchState, ante: dict, succ: dict) -> Sequent:
     return Sequent(tuple(left), tuple(right))
 
 
-def _restructure(st: _SearchState, d: Derivation, has_a: dict, has_s: dict,
-                 ante: dict, succ: dict) -> Derivation:
-    """Weaken and contract d, which concludes has_a => has_s (held by the caller, so not
-    counted again), to ante => succ: per side, in print-key order, each count steps
-    toward its target by wL/wR while below it and by cL/cR while above it."""
+_AXIOM = {"close-bot": "Axiom-Bot", "close-id": "Axiom-Id"}
+
+
+def _contract(st: _SearchState, d: Derivation, has_a: dict, has_s: dict,
+              ante: dict, succ: dict) -> Derivation:
+    """Contract d, which concludes has_a => has_s (held by the caller, so not counted
+    again), down to ante => succ, which holds no formula more often: per side, in
+    print-key order, by cL/cR."""
     cur = [has_a, has_s]
-    for i, want, weaken, contract in ((0, ante, "wL", "cL"), (1, succ, "wR", "cR")):
+    for i, want, rule in ((0, ante, "cL"), (1, succ, "cR")):
         if cur[i] == want:
             continue
-        for f in sorted(cur[i] | want, key=st.skeys.__getitem__):  # dict |: no formula is hashed again
-            have, n = cur[i].get(f, 0), want.get(f, 0)
-            for _ in range(have, n):
-                cur[i] = _plus(cur[i], f)
-                d = Derivation(_seq_of(st, cur[0], cur[1]), weaken, (d,))
-            for _ in range(n, have):
+        for f in sorted(cur[i], key=st.skeys.__getitem__):
+            for _ in range(want.get(f, 0), cur[i][f]):
                 cur[i] = _drop(cur[i], f)
-                d = Derivation(_seq_of(st, cur[0], cur[1]), contract, (d,))
+                d = Derivation(_seq_of(st, cur[0], cur[1]), rule, (d,))
     return d
 
 
-def _expand(st: _SearchState, m: _Macro) -> Derivation:
-    """Turn one macro step into primitive rules, recursing on sub-proofs."""
-    ante, succ, f = m.ante, m.succ, m.principal
+def _expand(st: _SearchState, m: _Macro, ante: dict, succ: dict) -> Derivation:
+    """Replay macro m on the exact sequent ante => succ, recursing on sub-proofs.
 
-    def sub_at(i: int, want: tuple[dict, dict]) -> Derivation:
-        # search premises are duplicate-capped; pad back up to the exact rule premise
-        want_a, want_s = want
-        sub = m.subs[i]
-        return _restructure(st, _expand(st, sub), sub.ante, sub.succ, want_a, want_s)
-
-    if m.kind == "close-bot":
-        leaf = Derivation(Sequent((BOT,), ()), "Axiom-Bot")
-        return _restructure(st, leaf, {BOT: 1}, {}, ante, succ)
-    if m.kind == "close-id":
-        leaf = Derivation(Sequent((f,), (f,)), "Axiom-Id")
-        return _restructure(st, leaf, {f: 1}, {f: 1}, ante, succ)
+    ante => succ holds m's formulas at least as often as m's duplicate-capped
+    multisets do, so m's rule still applies: the axioms and the box rules
+    conclude on it directly and take the surplus as their context.  A box
+    rule's []Gamma is m's own boxed antecedent, so the counts stay capped
+    from one modal layer to the next.
+    """
+    f = m.principal
+    if m.kind in _AXIOM:
+        return Derivation(_seq_of(st, ante, succ), _AXIOM[m.kind])
 
     rule = _RULE_OF_KIND.get(m.kind)
     if rule is not None:
         side, other = _sides(rule, ante, succ)
         rest = side if rule.conn is Box else _drop(side, f)
-        ds = tuple(sub_at(i, premise(_plus, f, rest, other)) for i, premise in enumerate(rule.premises))
+        ds = tuple(_expand(st, sub, *premise(_plus, f, rest, other)) for sub, premise in zip(m.subs, rule.premises))
         if len(ds) == 2:  # the two premises split the context: conclude on both copies
             rest, other = _sum(rest, rest), _sum(other, other)
         elif rule.conn in (And, Or):  # AndL and OrR take one immediate subformula at a time
@@ -571,19 +570,12 @@ def _expand(st: _SearchState, m: _Macro) -> Derivation:
         # the other rules conclude on more than the goal (BoxL keeps its box): contract
         has_a, has_s = _sides(rule, _plus(rest, f), other)
         d = Derivation(_seq_of(st, has_a, has_s), rule.primitive, ds)
-        return _restructure(st, d, has_a, has_s, ante, succ)
+        return _contract(st, d, has_a, has_s, ante, succ)
 
-    boxes, inner = _boxed_parts(ante)
-    box_rule = st.box_rule
-    if m.kind == "boxDR":
-        d = sub_at(0, (box_rule.ante(_plus, boxes, inner, None), {}))
-        has_s = {}
-        d = Derivation(_seq_of(st, boxes, has_s), "BoxDR", (d,))
-    else:
-        d = sub_at(0, (box_rule.ante(_plus, boxes, inner, f), {f.sub: 1}))
-        has_s = {f: 1}
-        d = Derivation(_seq_of(st, boxes, has_s), box_rule.primitive, (d,))
-    return _restructure(st, d, boxes, has_s, ante, succ)
+    boxes, inner = _boxed_parts(m.ante)  # m's own []Gamma
+    name, psucc = ("BoxDR", {}) if m.kind == "boxDR" else (st.box_rule.primitive, {f.sub: 1})
+    sub = _expand(st, m.subs[0], st.box_rule.ante(boxes, inner, f), psucc)
+    return Derivation(_seq_of(st, ante, succ), name, (sub,))
 
 
 def gls_reduce(a: Formula) -> Formula:
@@ -647,8 +639,7 @@ def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult
         return Exhausted(logic, s, e.reason)
     reduction = searched.succ[0] if logic == Logic.GLS else None
     if proof is not None:
-        d = _expand(st, proof)
-        d = _restructure(st, d, proof.ante, proof.succ, _count(norm.ante), _count(norm.succ))
+        d = _expand(st, proof, _count(norm.ante), _count(norm.succ))
         return Provable(logic, s, Derivation(norm, d.rule, d.premises), reduction)
 
     goal = searched.formula()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .formulas import Box, Formula, children, subformula_occurrences
+from .formulas import Box, Formula, InputError, children, subformula_occurrences
 # check is unused here; kept because the benchmark's tracer wraps provlab.unwind.check
 from .kripke import (FrameViolationError, K4_FRAME, Extension, KripkeModel, ModelFormatError, UnknownNodeError,
                      _force, check, validate_frame)
@@ -31,6 +31,9 @@ from .provability import (
 )
 
 PATH_SEP = "|"
+# The most related pairs an unwinding may hold.  The pairs, not the nodes, are
+# its cost: two linked clusters of N paths each relate N * N pairs.
+MAX_UNWOUND_PAIRS = 100_000
 
 StandIns = dict[str, list[tuple[int, str]]]  # per original node: (path length, name)
 _latest: tuple = (None,) * 4  # (model, a, t, _unwinding(model, a, t)) of the latest build
@@ -66,9 +69,18 @@ def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel,
     violations = validate_frame(model, K4_FRAME)
     if violations:
         raise FrameViolationError(violations)
-    if not translation_valid(t, a):
-        raise InvalidWitnessError(f"{t} is not a valid translation for the formula")
-    n = max(t) if t else -1
+    translated = translate_k4_to_gl(a, t)  # validates t, and bounds its entries
+    n = max(t, default=-1)
+    # a reflexive cluster (two or more nodes are one, by transitivity) becomes its paths of length <= n + 2
+    max_len = {c: n + 2 if (min(c), min(c)) in model.relation else 1 for c in model.clusters}
+    cluster_of = {k: c for c in model.clusters for k in c}
+    links = {(cluster_of[x], cluster_of[y]) for x, y in model.relation} - {(c, c) for c in model.clusters}
+    paths = {c: sum(len(c) ** k for k in range(1, top + 1)) for c, top in max_len.items()}
+    # R1 below relates all paths of linked clusters; R2 each path of length k to its k - 1 proper prefixes
+    pairs = sum(paths[cx] * paths[cy] for cx, cy in links) + sum(
+        (k - 1) * len(c) ** k for c, top in max_len.items() for k in range(1, top + 1))
+    if pairs > MAX_UNWOUND_PAIRS:
+        raise InputError(f"the unwound model would relate {pairs} pairs, above the bound of {MAX_UNWOUND_PAIRS}")
     for i in range(n + 1):
         if f"q{i}" in model.valuation:
             raise QAtomCollision(f"model valuation already defines q{i}")
@@ -79,21 +91,17 @@ def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel,
     table: dict[frozenset[str], list[tuple[tuple[str, ...], str]]] = {}
     for cluster in model.clusters:
         members = tuple(sorted(cluster))
-        # a cluster of two or more nodes is reflexive, by transitivity
-        max_len = n + 2 if (members[0], members[0]) in model.relation else 1
         table[cluster] = [
             (path, PATH_SEP.join(path))
-            for length in range(1, max_len + 1)
+            for length in range(1, max_len[cluster] + 1)
             for path in itertools.product(members, repeat=length)
         ]
     rows = [row for cluster in model.clusters for row in table[cluster]]
 
     rel: set[tuple[str, str]] = set()
     # R1: every inter-cluster edge of R connects all the corresponding paths
-    cluster_of = {k: c for c in model.clusters for k in c}
-    for cx, cy in {(cluster_of[x], cluster_of[y]) for x, y in model.relation}:
-        if cx != cy:
-            rel.update((pa, pb) for _, pa in table[cx] for _, pb in table[cy])
+    for cx, cy in links:
+        rel.update((pa, pb) for _, pa in table[cx] for _, pb in table[cy])
     # R2: proper initial segments within each cluster
     for path, name in rows:
         rel.update((PATH_SEP.join(path[:k]), name) for k in range(1, len(path)))
@@ -107,7 +115,7 @@ def _unwinding(model: KripkeModel, a: Formula, t: Witness) -> tuple[KripkeModel,
 
     stand_ins = {k: [(len(p), name) for p, name in table[cluster_of[k]] if p[-1] == k] for k in model.nodes}
     unw = KripkeModel(tuple(name for _, name in rows), frozenset(rel), valuation, clusters=None)
-    entry = (unw, stand_ins, translate_k4_to_gl(a, t), _force(model, None), _force(unw, None), {})
+    entry = (unw, stand_ins, translated, _force(model, None), _force(unw, None), {})
     _latest = (model, a, t, entry)
     return entry
 

@@ -8,10 +8,10 @@ import provlab
 from provlab.calculus import Derivation, Logic, check_derivation, diagnose_derivation
 from provlab.corpus import DEFAULT_PARAMS, generate_corpus
 from provlab.crosscheck import _rule_tally
-from provlab.formulas import Atom, BOT, And, Box, Imp, Neg, Or, Sequent, parse_modal
+from provlab.formulas import Atom, BOT, And, Box, Imp, Neg, Or, Sequent, parse_modal, print_sequent
 from provlab.prover import Provable, prove
 
-p, q = Atom("p"), Atom("q")
+p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 
 
 def leaf(ante, succ, rule):
@@ -27,13 +27,45 @@ def test_axiom_id():
     assert check_derivation(Logic.K4, leaf([Box(p)], [Box(p)], "Axiom-Id"))
 
 
-def test_axiom_id_requires_bare_sequent():
-    assert not check_derivation(Logic.K4, leaf([p, q], [p], "Axiom-Id"))
+def test_axiom_id_takes_contexts():
+    # S, A => A, D with any contexts; a sequent that shares no formula is no axiom
+    assert check_derivation(Logic.K4, leaf([p, q], [p], "Axiom-Id"))
+    assert check_derivation(Logic.K4, leaf([q, Box(p)], [r, Box(p), p], "Axiom-Id"))
+    assert diagnose_derivation(Logic.K4, leaf([p, q], [r], "Axiom-Id")) == (
+        "Axiom-Id needs one formula on both sides (at []: p, q => r)")
+    assert not check_derivation(Logic.K4, leaf([Box(p)], [p], "Axiom-Id"))
 
 
 def test_axiom_bot():
+    # S, bot => D with any contexts; bot must be in the antecedent
     assert check_derivation(Logic.K4, leaf([BOT], [], "Axiom-Bot"))
-    assert not check_derivation(Logic.K4, leaf([BOT], [p], "Axiom-Bot"))
+    assert check_derivation(Logic.K4, leaf([p, BOT], [q], "Axiom-Bot"))
+    assert diagnose_derivation(Logic.K4, leaf([p], [BOT], "Axiom-Bot")) == (
+        "Axiom-Bot needs bot in the antecedent (at []: p => bot)")
+    assert not check_derivation(Logic.K4, leaf([Box(BOT)], [], "Axiom-Bot"))
+
+
+# Each right box rule with contexts: a conclusion S, []G => []A, D (S, []G => D
+# for BoxDR) over its premise, then over two premises that are no instance:
+# one whose []G does not fit in the conclusion (one []p too many), and one
+# that also holds q, a formula of S.
+@pytest.mark.parametrize("logic,rule,concl,premise,overfull,with_q", [
+    (Logic.K4, "Box4R", ([q, Box(p), Box(Box(p))], [Box(p), r]), ([p, Box(p), Box(p), Box(Box(p))], [p]),
+     ([p, p, Box(p), Box(p)], [p]), ([q, p, Box(p), Box(p), Box(Box(p))], [p])),
+    (Logic.KD4, "BoxDR", ([q, Box(BOT)], [r]), ([BOT, Box(BOT)], []),
+     ([BOT, BOT, Box(BOT), Box(BOT)], []), ([q, BOT, Box(BOT)], [])),
+    (Logic.S4, "BoxSR", ([q, Box(p)], [Box(p), r]), ([Box(p)], [p]),
+     ([Box(p), Box(p)], [p]), ([q, Box(p)], [p])),
+    (Logic.GL, "GLR", ([q, Box(p)], [Box(p), r]), ([p, Box(p), Box(p)], [p]),
+     ([p, p, Box(p), Box(p), Box(p)], [p]), ([q, p, Box(p), Box(p)], [p])),
+], ids=["Box4R", "BoxDR", "BoxSR", "GLR"])
+def test_box_rules_take_contexts(logic, rule, concl, premise, overfull, with_q):
+    # each premise is closed by a marker rule of no logic, so only the box rule is checked
+    assert diagnose_derivation(logic, node(*concl, rule, leaf(*premise, "unchecked"))) == (
+        f"rule unchecked is not part of G({logic.value}) (at [0])")
+    for bad in (overfull, with_q):
+        assert diagnose_derivation(logic, node(*concl, rule, leaf(*bad, "unchecked"))) == (
+            f"{rule} premise antecedent does not match (at []: {print_sequent(Sequent(*map(tuple, concl)))})")
 
 
 def test_box4r_derivation_of_axiom_four():
@@ -99,9 +131,6 @@ def test_andr_context_split():
         leaf([q], [q], "Axiom-Id"),
     )
     assert check_derivation(Logic.K4, d)
-
-
-r, s = Atom("r"), Atom("s")
 
 
 def _p_with(*extra):
@@ -192,21 +221,32 @@ def test_deep_derivations_check_without_recursion():
     assert _chain().node_count() == 5001
 
 
+def _k4_chain(n):
+    return prove(Logic.K4, Sequent((), (parse_modal("[]" * n + "(p /\\ q) -> " + "[]" * n + "p"),)))
+
+
 def test_deep_k4_derivation_walks_without_recursion():
-    # K4's derivation of []^50(p /\ q) -> []^50 p is a chain 2507 nodes deep
-    res = prove(Logic.K4, Sequent((), (parse_modal("[]" * 50 + "(p /\\ q) -> " + "[]" * 50 + "p"),)))
+    # K4's derivation of []^50(p /\ q) -> []^50 p is a chain with one Box4R per
+    # modal layer: the box rules take their contexts, so nothing is weakened
+    res = _k4_chain(50)
     assert isinstance(res, Provable) and check_derivation(Logic.K4, res.derivation)
-    assert res.derivation.node_count() == 2507
+    assert res.derivation.node_count() == 55 < 200
     tally = {}
     _rule_tally(res.derivation, tally)
-    assert tally == {"AndL": 2, "Axiom-Id": 1, "Box4R": 50, "ImpR": 1, "cL": 1, "wL": 2452}
+    assert tally == {"AndL": 2, "Axiom-Id": 1, "Box4R": 50, "ImpR": 1, "cL": 1}
+
+
+def test_deep_k4_chain_has_a_checked_derivation():
+    res = _k4_chain(250)
+    assert isinstance(res, Provable) and check_derivation(Logic.K4, res.derivation)
+    assert res.derivation.node_count() == 255
 
 
 # The rule names in a fixed order; a renamed node takes the next one, cyclically.
 RENAME_ORDER = ("Axiom-Id", "Axiom-Bot", "wL", "wR", "cL", "cR", "cut", "OrL", "OrR", "AndL",
                 "AndR", "ImpL", "ImpR", "NegL", "NegR", "Box4R", "BoxDR", "BoxSR", "BoxL", "GLR")
 # sha256 over every diagnose_derivation result of test_diagnostics_are_pinned
-DIAGNOSTICS_DIGEST = "8b2d4d82e52a85e653d73275d2e5c2f65577b452d5c87c0ca76b7c0a2839b64a"
+DIAGNOSTICS_DIGEST = "e3469c51704c5113b35079f1c482ad2d6aab4464973020778562ac21d7d525da"
 
 
 def test_diagnostics_are_pinned():
@@ -228,6 +268,61 @@ def test_diagnostics_are_pinned():
                 ):
                     h.update(repr(diagnose_derivation(logic, variant)).encode() + b"\n")
     assert h.hexdigest() == DIAGNOSTICS_DIGEST
+
+
+def _one_formula_mutants(fs, only=None, added=()):
+    """fs with one formula (each distinct one, or only `only`) deleted or
+    duplicated, and with each formula of added added."""
+    for f in dict.fromkeys(fs):
+        if only in (None, f):
+            i = fs.index(f)
+            yield fs[:i] + fs[i + 1:]
+            yield fs + (f,)
+    for f in added:
+        yield fs + (f,)
+
+
+def test_context_rules_reject_one_formula_mutants():
+    # Every axiom and box-rule node of the default-corpus derivations.  A box
+    # rule's premise is mutated on one side, where added formulas are r, []r
+    # (no corpus formula holds r) and the conclusion's antecedent formulas; the
+    # node's diagnostic must name the node itself.  A Box4R, BoxDR or GLR premise holds G and []G in pairs
+    # (and GLR one []A more), so no mutant is an instance.  A BoxSR premise is
+    # []G alone: a mutant is an instance exactly when it is all boxed and fits
+    # in the conclusion.  An axiom's shared formula (Axiom-Id) or bot
+    # (Axiom-Bot) is deleted or duplicated on one side; the mutant is an
+    # instance exactly when a formula is still shared (bot still there).
+    rejected = dict.fromkeys(("Axiom-Id", "Axiom-Bot", "Box4R", "BoxDR", "BoxSR", "GLR"), 0)
+    for f in generate_corpus(DEFAULT_PARAMS).formulas:
+        for logic in (Logic.K4, Logic.KD4, Logic.S4, Logic.GL):
+            res = prove(logic, Sequent((), (f,)))
+            if not isinstance(res, Provable):
+                continue
+            for n in res.derivation.nodes():
+                assert n.rule not in ("wL", "wR")
+                if n.rule not in rejected:
+                    continue
+                ante, succ = n.sequent.ante, n.sequent.succ
+                if n.premises:
+                    (prem,) = n.premises
+                    added = (r, Box(r), *dict.fromkeys(ante))
+                    mutants = [Sequent(a, prem.sequent.succ) for a in _one_formula_mutants(prem.sequent.ante, None, added)]
+                    mutants += [Sequent(prem.sequent.ante, s) for s in _one_formula_mutants(prem.sequent.succ, None, added)]
+                    for m in mutants:
+                        msg = diagnose_derivation(logic, Derivation(n.sequent, n.rule, (Derivation(m, prem.rule, prem.premises),)))
+                        instance = n.rule == "BoxSR" and m.succ == prem.sequent.succ and all(
+                            isinstance(g, Box) and m.ante.count(g) <= ante.count(g) for g in m.ante)
+                        assert (msg is None or "(at []:" not in msg) == instance, (logic, n.sequent, m)
+                        rejected[n.rule] += not instance
+                    continue
+                for a in set(ante) & set(succ) if n.rule == "Axiom-Id" else {BOT}:
+                    mutants = [Sequent(x, succ) for x in _one_formula_mutants(ante, a)]
+                    mutants += [Sequent(ante, x) for x in _one_formula_mutants(succ, a)]
+                    for m in mutants:
+                        instance = bool(set(m.ante) & set(m.succ)) if n.rule == "Axiom-Id" else BOT in m.ante
+                        assert (diagnose_derivation(logic, Derivation(m, n.rule)) is None) == instance
+                        rejected[n.rule] += not instance
+    assert min(rejected.values()) > 0, rejected
 
 
 def _provlab_imports(path):

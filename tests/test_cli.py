@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -291,6 +292,45 @@ def test_input_errors_exit_2(tmp_path, capsys, argv, message):
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     assert bad_input(capsys, *[str(tmp_path / a) if a in files else a for a in argv]) == message
+
+
+# Option values that would start unbounded work: each is refused by the bound
+# it exceeds, before any work starts.  CLUSTER_MODEL is one reflexive 2-node
+# cluster: at top entry 11 its unwinding has the 2^k paths of each length
+# k <= 13, each related to its k - 1 proper prefixes.
+CLUSTER_MODEL = {"nodes": ["a", "b"], "relation": [["a", "a"], ["a", "b"], ["b", "a"], ["b", "b"]],
+                 "clusters": [["a", "b"]], "valuation": {"p": ["a"]}}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["corpus", "--max-connectives", "5", "--sample", "10000000"],
+     "sample of 10000000 formulas is above the bound of 500000"),
+    (["unwind", "--model", "MODEL", "--formula", "[]p", "--t", "9999999"],
+     "translation entry 9999999 is above the bound of 65 (64 over the box count)"),
+    (["translate", "--flavor", "k4gl", "--t", "9999999", "[]p"], "translation entry 9999999 is above the bound of 65 (64 over the box count)"),
+    (["unwind", "--model", "CLUSTER_MODEL", "--formula", "[]p", "--t", "11"],
+     "the unwound model would relate 180228 pairs, above the bound of 100000"),
+], ids=["corpus-sample", "unwind-entry", "translate-entry", "unwind-pairs"])
+def test_work_bounds_exit_2_at_once(tmp_path, capsys, argv, message):
+    files = {"MODEL": UNWIND_MODEL, "CLUSTER_MODEL": CLUSTER_MODEL}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert bad_input(capsys, *[str(tmp_path / a) if a in files else a for a in argv]) == message
+    assert time.perf_counter() - start < 5
+
+
+def test_prove_prints_a_deep_k4_chain(capsys):
+    # the derivation of []^25(p /\ q) -> []^25 p has one Box4R per modal layer
+    # and 30 nodes, so its JSON nests shallowly enough to print
+    code, payload = run_cli(capsys, "prove", "--logic", "k4", "[]" * 25 + "(p /\\ q) -> " + "[]" * 25 + "p")
+    assert code == 0 and payload["verdict"] == "provable"
+    rules, stack = [], [payload["derivation"]]
+    while stack:
+        d = stack.pop()
+        rules.append(d["rule"])
+        stack += d["premises"]
+    assert len(rules) == 30 and rules.count("Box4R") == 25
 
 
 def test_bad_input_is_one_exception_type():

@@ -60,10 +60,10 @@ def test_oracle_reports_are_reproducible():
 # read off a failed search, shows here, across processes and hash seeds.
 # SMALL is sampled with random.Random, so the digests assume Python 3.11.
 ORACLE_REPORT_DIGESTS = {
-    "oracle-k4": "f7424d21d9e3bd33c99d59571bed4b9fd0de6a5bf0192393877cc5b720ce6895",
-    "oracle-kd4": "ca454de56383db90b5b5762688a0fa181fbd03e33ee4615a0d47fdaf2fe9fee0",
-    "oracle-s4": "9b57a5d46152326f876d6645a725798bd6b72cac0f60652eb58b6d03564c2f19",
-    "oracle-gl": "6d2002e41498ca076400d73c97fa1dd4a56d95897ff85058f616a702812417ce",
+    "oracle-k4": "cb941d02049bf770c94819bab26ef2108f7935b021e5e6db6e8766824173bf3e",
+    "oracle-kd4": "e18256c3c3a8c8602f98654c9c374cccd59e7af786d6244e3482221b9193ac4a",
+    "oracle-s4": "a8451cd1019d988e5be10f5a575f79ff6171433e73851c9c48c4446ccdff9599",
+    "oracle-gl": "fcb730c4c8939d2976ac4f7ca42dd5160f91ec9c622023ed867b7bf39b80b9dc",
 }
 
 

@@ -5,13 +5,13 @@ import provlab.kripke
 import provlab.prop
 from provlab.calculus import Logic
 from provlab.formulas import Atom, BOT, TOP, And, Box, Imp, Or, parse_prop
+from provlab.frames import find_entailment_countermodel
 from provlab.kripke import BOT_KEY, GL_FRAME, check, check_int, int_frame, validate_frame
 from provlab.prover import NotProvable
 from provlab.prop import (
     DIRECT_SEMANTICS,
     PROP_TO_MODAL,
     PropLogic,
-    crosscheck_prop,
     prove_prop,
 )
 
@@ -102,23 +102,21 @@ def test_prop_rejects_boxes():
         prove_prop(PropLogic.IPC, [], Box(p))
 
 
+def _refutation(logic, f, max_nodes):
+    """A countermodel of f on the logic's own frames within max_nodes, or None."""
+    return find_entailment_countermodel((), f, int_frame(logic.value), max_nodes)
+
+
 def test_crosscheck_examples():
-    r1 = crosscheck_prop(PropLogic.IPC, parse_prop("bot -> p"), 4)
-    assert r1.translation_verdict is True and not r1.semantics_refuted and r1.agree
+    # the translation verdict agrees with the direct semantics on each example
+    f = parse_prop("bot -> p")
+    assert prove_prop(PropLogic.IPC, (), f).provable is True and _refutation(PropLogic.IPC, f, 4) is None
 
-    r2 = crosscheck_prop(PropLogic.IPC, parse_prop("p \\/ ~p"), 4)
-    assert r2.translation_verdict is False and r2.semantics_refuted and r2.agree
+    v = prove_prop(PropLogic.IPC, (), parse_prop("p \\/ ~p"), countermodel_nodes=4)
+    assert v.provable is False and v.countermodel is not None
 
-    r3 = crosscheck_prop(PropLogic.MPC, parse_prop("top -> top"), 2)
-    assert r3.translation_verdict is True and r3.agree
-
-    for r in (r1, r2, r3):
-        assert not r.hard_failure
-
-
-def test_crosscheck_rejects_ebpc():
-    with pytest.raises(ValueError):
-        crosscheck_prop(PropLogic.EBPC, p)
+    f = parse_prop("top -> top")
+    assert prove_prop(PropLogic.MPC, (), f).provable is True and _refutation(PropLogic.MPC, f, 2) is None
 
 
 def prop_formulas(max_leaves=5):
@@ -153,9 +151,10 @@ def test_inclusion_lattice_on_random_formulas(f):
 @settings(max_examples=25, deadline=None)
 @given(prop_formulas(max_leaves=4))
 def test_no_semantic_refutation_of_provable_formulas(f):
+    # CPC is decided by this very search, so only the translated logics are compared
     for logic in DIRECT_SEMANTICS:
-        r = crosscheck_prop(logic, f, 3)
-        assert not r.hard_failure
+        if logic in PROP_TO_MODAL and prove_prop(logic, (), f, countermodel_nodes=0).provable is True:
+            assert _refutation(logic, f, 3) is None
 
 
 def test_bpc_disjunction_property_spot_check():
