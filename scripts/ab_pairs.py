@@ -21,6 +21,13 @@ modal-evidence, so a faster tree completes more items and reads a higher
 peak for that reason alone (on modal-evidence, about +6 % peak RSS per +25 %
 items).
 
+Equal work on oracle-sweep: `--workload oracle-sweep --items 60` runs 60
+passes of 4000 items, 240 000 items a side, so both sides hold the same
+per-item memory and a `peak_rss_mb` difference is the program's own.  Pair
+it with fixed-time runs: `verdict_p99_ms` and `items_per_s` come from those,
+and the equal-work peak tells a throughput gain apart from the harness's
+per-item memory.
+
 For every end-to-end metric in BENCHMARK.json the script prints each side's
 median and quartiles, the ratio of the medians, the pairs the working tree
 won (ties count for neither) and whether the medians differ by more than the

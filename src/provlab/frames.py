@@ -12,7 +12,10 @@ adjacency bitmasks are kept once.  ``frames_of_size`` keeps isomorphic
 copies, and ``enumerate_models`` streams them all; every countermodel search
 and validity sweep scans ``rooted_frames_of_size``, one rooted frame per
 isomorphism class, through one loop, and meets the refutation a scan of
-every model would meet first.
+every model would meet first.  A local formula (no box, no persistent
+implication) holds at a node exactly when the node's valuation makes it true,
+so under local premises one that no one-node model refutes is valid: the scan
+drops it there, and ends once every formula is refuted or so decided.
 
 Enumeration order is canonical: node count, then adjacency bitmask, then
 valuation bitmask (sorted atoms, first atom in the least significant bits).
@@ -415,6 +418,13 @@ class CompiledFormulas:
         self.ops = ops
         self._plan()
 
+    def local_roots(self) -> list[bool]:
+        """Per root, whether it reaches no box and no persistent implication, in one forward pass."""
+        local: list[bool] = []
+        for op in self.ops:
+            local.append(op[0] == "atom" or op[0] not in ("box", "iimp") and all(local[a] for a in op[1:]))
+        return [local[r] for r in self.roots]
+
     def run(self, batch: _Batch) -> list[int]:
         """The truth of each root over the batch."""
         width = batch.width
@@ -608,9 +618,11 @@ def _refutations(
     One pass compiles gamma and the formulas once and runs it per batch.
     The batch's chunks are then charged to the budget one at a time, in
     canonical order, and each formula's first refutation is verified at its
-    chunk; the pass stops once none is pending, so the charge and the hits
-    are those of a scan chunk by chunk.  A batch that refutes some formulas
-    prunes their ops from the program.
+    chunk.  A batch that refutes some formulas prunes their ops from the
+    program.  After the one-node frames, under local premises, the local
+    formulas still pending are valid (see the module docstring) and leave
+    the program.  The pass stops once none is pending, so the charge and
+    the hits are those of a scan chunk by chunk that ends there.
     """
     result: dict[Formula, tuple[KripkeModel, str] | None] = {f: None for f in formulas}
     pending = list(dict.fromkeys(formulas))
@@ -619,7 +631,15 @@ def _refutations(
     gamma = tuple(gamma)
     k = len(gamma)
     prog = CompiledFormulas(gamma + tuple(pending), _flavor(frame_class))
+    one_node = True
     for batch in _batches(frame_class, max_nodes, prog.atom_names()):
+        if one_node and batch.n > 1:
+            one_node, local = False, prog.local_roots()
+            keep = [i for i in range(len(pending)) if not (local[k + i] and all(local[:k]))]
+            if not keep:
+                return result
+            pending = [pending[i] for i in keep]
+            prog.prune([*range(k), *(k + i for i in keep)])
         full = (1 << batch.n * batch.width) - 1
         vals = prog.run(batch)
         premises = full

@@ -49,6 +49,7 @@ Witness = tuple[int, ...]
 # an entry n conjoins n + 1 fresh atoms under its box (a valid translation of
 # k nested boxes needs entries up to k - 1), so the work stays linear in the input.
 MAX_ENTRY_OVER_BOXES = 64
+MAX_ENTRY_DIGITS = 18  # parse_witness refuses a longer entry before int() reads it
 
 BHK = "b"
 WEAK_BHK = "w"
@@ -123,15 +124,17 @@ def canonical_witness(f: Formula, start: int = 0) -> Witness:
 
 
 def parse_witness(text: str) -> Witness:
-    """Comma-separated naturals; the empty string is the empty witness."""
+    """Comma-separated naturals (ASCII digits); the empty string is the empty witness."""
     text = text.strip()
     if not text:
         return ()
     parts = [s.strip() for s in text.split(",")]
     vals = []
     for s in parts:
-        if not s.isdigit():
+        if not (s.isascii() and s.isdigit()):
             raise InvalidWitnessError(f"witness entries must be naturals, got {s!r}")
+        if len(s) > MAX_ENTRY_DIGITS:
+            raise InvalidWitnessError(f"witness entry of {len(s)} digits is above the bound of {MAX_ENTRY_DIGITS}")
         vals.append(int(s))
     return tuple(vals)
 

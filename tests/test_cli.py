@@ -73,6 +73,13 @@ def test_countermodel_absent(capsys):
     assert payload["countermodel"] is None
 
 
+def test_countermodel_of_a_local_tautology_stops_after_one_node(capsys):
+    # a box-free formula that no one-node model refutes holds in every model,
+    # so the 7-node bound costs no enumeration past one node
+    code, payload = run_cli(capsys, "countermodel", "--class", "k4", "--max-nodes", "7", "p \\/ ~p")
+    assert code == 0 and payload["countermodel"] is None
+
+
 def test_translate_flavors(capsys):
     _, payload = run_cli(capsys, "translate", "--flavor", "b", "p -> q")
     assert payload["output"] == "[]([]p -> []q)"
@@ -285,8 +292,15 @@ SEP_MODEL = {"nodes": ["a|b"], "relation": [], "clusters": [["a|b"]], "valuation
      "1766856 formulas within bounds; pass sample_size to down-sample"),
     (["countermodel", "--class", "int-ipc", "[]p"], "box is not allowed in propositional input at offset 0"),
     (["countermodel", "--class", "int-bpc", "q0 -> p"], "atom 'q0' is reserved for generated formulas"),
+    # an entry past the bound is refused before int() reads it (past 4300
+    # digits int() itself raises), and a non-ASCII digit is no digit
+    (["witness", "check", "--witness", "1" * 4301, "[]p"], "witness entry of 4301 digits is above the bound of 18"),
+    (["render", "--witness", "\u00b2", "[]p"], "witness entries must be naturals, got '\u00b2'"),
+    (["translate", "--flavor", "k4gl", "--t", "9" * 19, "[]p"], "witness entry of 19 digits is above the bound of 18"),
+    (["unwind", "--model", "MODEL", "--formula", "[]p", "--t", "\u00b2"], "witness entries must be naturals, got '\u00b2'"),
 ], ids=["render-length", "witness-length", "translate-length", "unwind-length", "unwind-separator",
-        "corpus-bound", "countermodel-int-box", "countermodel-int-reserved"])
+        "corpus-bound", "countermodel-int-box", "countermodel-int-reserved", "witness-digits",
+        "render-superscript", "translate-digits", "unwind-superscript"])
 def test_input_errors_exit_2(tmp_path, capsys, argv, message):
     files = {"MODEL": UNWIND_MODEL, "SEP_MODEL": SEP_MODEL}
     for name, data in files.items():

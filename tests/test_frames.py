@@ -208,7 +208,12 @@ BPC_CUT_TEXTS = [
     "~~p \\/ (~(p -> bot) \\/ bot -> (q -> q) -> q)",
     "~((p \\/ bot) /\\ top) \\/ (q /\\ ((bot -> q) -> p -> bot) -> (~top -> p /\\ top) -> p)",
 ]
-NAIVE_CLASSES = [(fc, texts + BPC_CUT_TEXTS if fc == int_frame("BPC") else texts)
+# Local formulas (no box, no persistent implication): the scan decides them at
+# the one-node frames, refuted there or valid.
+LOCAL_MODAL_TEXTS = ["p \\/ ~p", "p -> q", "bot", "top"]
+LOCAL_PROP_TEXTS = ["p \\/ q", "(p /\\ q) \\/ bot"]
+NAIVE_CLASSES = [(fc, texts + (LOCAL_PROP_TEXTS if fc.kind == "Int" else LOCAL_MODAL_TEXTS)
+                  + (BPC_CUT_TEXTS if fc == int_frame("BPC") else []))
                  for fc, texts in DIFF_CLASSES]
 
 
@@ -233,6 +238,29 @@ def test_find_entailment_countermodel_matches_naive_enumeration():
         assert any(e is not None for e in expected), frame_class
         got = [as_json(find_entailment_countermodel(g, a, frame_class, 3)) for g, a in cases]
         assert got == expected, frame_class
+
+
+@pytest.mark.parametrize("frame_class,premise,a", [(int_frame("IPC"), "~~p", "p"), (GL_FRAME, "~[]bot", "p")],
+                         ids=["IPC", "GL"])
+def test_a_non_local_premise_keeps_local_formulas_in_the_scan(frame_class, premise, a):
+    # a is local, but no one-node model forces the premise and refutes a:
+    # the first refutation has 2 nodes, so the scan must not stop at one
+    gamma, a = (parse_modal(premise),), parse_modal(a)
+    expected = naive_first_refutation(frame_class, gamma, a, 3)
+    assert len(expected[0]["nodes"]) == 2
+    assert as_json(find_entailment_countermodel(gamma, a, frame_class, 3)) == expected
+
+
+def test_local_formulas_leave_the_scan_after_one_node(monkeypatch):
+    built = []
+    enumerated = frames.rooted_frames_of_size
+    monkeypatch.setattr(frames, "rooted_frames_of_size", lambda fc, n: built.append(n) or enumerated(fc, n))
+    fs = [parse_modal("p \\/ ~p"), parse_modal("p -> p")]
+    b = Budget()
+    assert sweep_refutations(fs, K4_FRAME, 7, b) == {f: None for f in fs}
+    # the one-node models: two frames, two valuations of p each
+    assert b.models_used == len(enumerated(K4_FRAME, 1)) * 2 == 4
+    assert max(built) < 3
 
 
 def test_find_countermodel_int_flavors():
@@ -285,10 +313,15 @@ def test_sweep_matches_single_search(monkeypatch):
     # scans every enumerated frame, so it does not share the cut it checks.
     # "p -> p" is also an operand of "[](p -> p)": a root that another root reads
     axioms = [parse_modal(s) for s in ["[]p -> p", "[]p -> [][]p", "p -> []p", "[](p -> p)", "p -> p"]]
+    # local formulas, valid or refuted at one node, among boxed ones that the
+    # scan follows past it
+    mixed = [parse_modal(s) for s in ["p \\/ ~p", "[]q -> q", "p -> q", "[](p \\/ ~p)", "top", "~[]bot",
+                                      "p /\\ q -> p", "[]p -> [][]p", "bot", "q \\/ [](q -> p)"]]
     modal = random.Random(6).sample(generate_corpus(DEFAULT_PARAMS).formulas, 40)
     box_free = random.Random(6).sample(generate_corpus(BOX_FREE_PARAMS).formulas, 40) + [
         parse_modal(t) for t in BPC_CUT_TEXTS]
-    for frame_class, fs, max_nodes in [(K4_FRAME, axioms, 3), (K4_FRAME, modal, 4),
+    for frame_class, fs, max_nodes in [(K4_FRAME, axioms, 3), (K4_FRAME, mixed, 3), (S4_FRAME, mixed, 4),
+                                       (K4_FRAME, modal, 4),
                                        (GL_FRAME, modal, 4), (int_frame("BPC"), box_free, 4)]:
         assert any(len(rooted_frames_of_size(frame_class, n)) < len(rooted(frame_class, n))
                    for n in range(1, max_nodes + 1))
@@ -407,18 +440,19 @@ def test_pruned_program_matches_a_fresh_compile(frame_class, texts):
             assert prog.run(batch) == fresh.run(batch)
 
 
+# Each row: a formula first refuted at 3 nodes, and a valid one that the scan
+# follows to the bound.  A local valid formula would leave the scan after one
+# node, so the K4 one is boxed.
 THREE_ATOM_CASES = [
-    (K4_FRAME, "[](r -> p \\/ q) -> [](r -> p) \\/ [](r -> q)"),
-    (int_frame("IPC"), "(r -> p \\/ q) -> (r -> p) \\/ (r -> q)"),
+    (K4_FRAME, "[](r -> p \\/ q) -> [](r -> p) \\/ [](r -> q)", "[](p /\\ q /\\ r) -> [](r \\/ ~p)"),
+    (int_frame("IPC"), "(r -> p \\/ q) -> (r -> p) \\/ (r -> q)", "p /\\ q /\\ r -> (r \\/ ~p)"),
 ]
-THREE_ATOM_VALID = "p /\\ q /\\ r -> (r \\/ ~p)"
 THREE_ATOM_GAMMA = ("p \\/ r", "~q")
 
 
-def three_atom_results(frame_class, refuted):
+def three_atom_results(frame_class, refuted, valid):
     """(hit, models charged, whether the scan ran to the end) of each search
     over the three-atom cases at 3 nodes."""
-    valid = parse_modal(THREE_ATOM_VALID)
     gamma = tuple(map(parse_modal, THREE_ATOM_GAMMA))
     out = []
     for f in (refuted, valid):
@@ -434,14 +468,14 @@ def three_atom_results(frame_class, refuted):
     return out
 
 
-@pytest.mark.parametrize("frame_class,refuted_text", THREE_ATOM_CASES, ids=["K4", "IPC"])
-def test_chunk_boundaries_do_not_change_results(frame_class, refuted_text, monkeypatch):
+@pytest.mark.parametrize("frame_class,refuted_text,valid_text", THREE_ATOM_CASES, ids=["K4", "IPC"])
+def test_chunk_boundaries_do_not_change_results(frame_class, refuted_text, valid_text, monkeypatch):
     # 3 atoms, first refuted at 3 nodes: the digit periods (base, base**2,
     # base**3) are not multiples of 7, so chunks start inside digit runs
-    refuted = parse_modal(refuted_text)
-    default = three_atom_results(frame_class, refuted)
+    refuted, valid = parse_modal(refuted_text), parse_modal(valid_text)
+    default = three_atom_results(frame_class, refuted, valid)
     monkeypatch.setattr(frames, "_CHUNK", 7)
-    chunked = three_atom_results(frame_class, refuted)
+    chunked = three_atom_results(frame_class, refuted, valid)
     assert default[0][0] is not None and default[2][0] is None
     for (hit, used, complete), (hit7, used7, _) in zip(default, chunked):
         assert hit7 == hit
@@ -449,13 +483,12 @@ def test_chunk_boundaries_do_not_change_results(frame_class, refuted_text, monke
         assert used7 == used if complete else used7 <= used
 
 
-@pytest.mark.parametrize("frame_class,refuted_text", THREE_ATOM_CASES, ids=["K4", "IPC"])
-def test_packing_width_does_not_change_results(frame_class, refuted_text, monkeypatch):
+@pytest.mark.parametrize("frame_class,refuted_text,valid_text", THREE_ATOM_CASES, ids=["K4", "IPC"])
+def test_packing_width_does_not_change_results(frame_class, refuted_text, valid_text, monkeypatch):
     # width 1 runs every chunk alone; 1 << 40 packs every frame of one size
     # into one run.  Chunks are charged one at a time either way, so the hits,
     # the models charged and the point where the budget runs out are equal.
-    refuted = parse_modal(refuted_text)
-    valid = parse_modal(THREE_ATOM_VALID)
+    refuted, valid = parse_modal(refuted_text), parse_modal(valid_text)
 
     def stop(models):
         b = Budget(models=models)
@@ -471,7 +504,7 @@ def test_packing_width_does_not_change_results(frame_class, refuted_text, monkey
     # half way through the models of 3 nodes: at the default width the
     # budget runs out at a chunk that does not end its batch
     middle = (up_to[0] + up_to[1]) // 2
-    default = three_atom_results(frame_class, refuted), stop(middle)
+    default = three_atom_results(frame_class, refuted, valid), stop(middle)
     names = CompiledFormulas([valid], frames._flavor(frame_class)).atom_names()
     ends = list(itertools.accumulate(batch.width for batch in frames._batches(frame_class, 3, names)))
     assert ends[-1] == up_to[1] and default[1] not in ends
@@ -479,7 +512,7 @@ def test_packing_width_does_not_change_results(frame_class, refuted_text, monkey
     assert default[0][0][1] < up_to[1]
     for width in (1, 1 << 40):
         monkeypatch.setattr(frames, "_PACK", width)
-        assert (three_atom_results(frame_class, refuted), stop(middle)) == default, width
+        assert (three_atom_results(frame_class, refuted, valid), stop(middle)) == default, width
 
 
 def test_fast_path_disagreement_raises(monkeypatch):

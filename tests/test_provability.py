@@ -122,6 +122,10 @@ def test_witness_serialization():
     assert print_witness((5, 3, 1, 2)) == "5,3,1,2"
     with pytest.raises(ValueError):
         parse_witness("1,-2")
+    assert parse_witness("9" * 18) == (10**18 - 1,)
+    for text in ("1," + "9" * 19, "\u00b2", "\u0661"):
+        with pytest.raises(InvalidWitnessError):
+            parse_witness(text)
 
 
 def test_is_expansion_nested_disjunction_pair():
