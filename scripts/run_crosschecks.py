@@ -15,6 +15,8 @@ how many records differ, counted per key: `summary same; 41 records differ in
 evidence` says that only evidence hashes moved.  Records are matched by
 index, and those sharing an index (a lattice item's violated chains) by
 their order; those in one report only are counted apart.
+The final line gives the process's peak resident set size, so that a change
+that trades memory for time shows what that costs across the suites.
 Exits nonzero if any suite reports a disagreement or evidence failure, or
 under --against if any report differs.
 """
@@ -24,6 +26,7 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import resource
 import sys
 import time
 
@@ -110,9 +113,11 @@ def main() -> int:
         print(f"FAILED suites: {', '.join(failed)}", file=sys.stderr)
     if differs:
         print(f"reports that differ: {', '.join(differs)}", file=sys.stderr)
+    peak = f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB"  # ru_maxrss is in kB on Linux
     if failed or differs:
+        print(peak)
         return 1
-    print(f"all {len(args.suites)} suites ok; reports in {out}/")
+    print(f"all {len(args.suites)} suites ok; reports in {out}/; {peak}")
     return 0
 
 

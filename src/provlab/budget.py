@@ -31,8 +31,8 @@ class Budget:
         if self.escalate_nodes is None:
             self.escalate_nodes = self.max_nodes + 2
 
-    def spend_step(self, n: int = 1) -> None:
-        self.steps_used += n
+    def spend_step(self) -> None:
+        self.steps_used += 1
         if self.steps_used > self.steps:
             raise BudgetExhausted(f"search budget exhausted ({self.steps} steps)")
 

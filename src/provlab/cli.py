@@ -107,6 +107,8 @@ def _cmd_prove(args) -> int:
     v = prove_prop(PROP_LOGICS[args.logic], gamma, goal, budget, countermodel_nodes=args.max_nodes)
     payload.update(logic=v.logic.value, method=v.method,
                    verdict={True: "provable", False: "not-provable", None: "exhausted"}[v.provable])
+    if v.reason is not None:
+        payload["reason"] = v.reason
     if v.translated is not None:
         payload["translated"] = print_formula(v.translated)
         payload["translated_gamma"] = list(map(print_formula, v.translated_gamma))

@@ -56,6 +56,9 @@ class _Enumeration:
     def __init__(self, params: CorpusParams):
         if params.max_connectives < 0 or params.max_degree < 0:
             raise InputError("bounds must be non-negative")
+        repeated = [a for a in params.atoms if params.atoms.count(a) > 1]
+        if repeated:
+            raise InputError(f"atom {repeated[0]!r} is listed more than once")
         self.leaves: list[Formula] = [Atom(a) for a in sorted(params.atoms)] + [BOT, TOP]
         self.max_degree = params.max_degree
         self.count = lru_cache(maxsize=None)(self._count)

@@ -42,7 +42,7 @@ from typing import Iterator, Sequence
 from . import kripke
 from .budget import Budget
 from .formulas import And, Atom, Bot, Box, Formula, Imp, Neg, Or, Top
-from .kripke import BOT_KEY, FrameClass, KripkeModel
+from .kripke import BOT_KEY, GL_FRAME, K4_FRAME, KD4_FRAME, S4_FRAME, FrameClass, KripkeModel, int_frame
 
 _CHUNK = 1 << 18  # most valuations of one frame in one chunk
 _PACK = 1 << 13  # most bits per node segment of a batch of several chunks
@@ -126,28 +126,30 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _class_params(frame_class: FrameClass) -> tuple[str, str, bool]:
-    """(quotient kind, cluster kind, serial) for a frame class."""
-    kind = frame_class.kind
-    if kind == "K4":
-        return "tree", "mixed", False
-    if kind == "KD4":
-        return "tree", "mixed", True
-    if kind == "S4":
-        return "tree", "reflexive", False
-    if kind == "GL":
-        return "order", "irreflexive", False
-    if kind == "Int":
-        flavor = frame_class.flavor
-        if flavor == "BPC":
-            return "order", "mixed", False
-        if flavor == "FPL":
-            return "order", "irreflexive", False
-        if flavor in ("IPC", "MPC"):
-            return "order", "reflexive", False
-        if flavor == "CPC":
-            return "order", "reflexive", False  # restricted to n == 1 below
-    raise ValueError(f"unknown frame class {frame_class!r}")
+# Per frame class: (quotient kind, cluster kind, serial); see cluster_reflexivity.
+# The clusters hang from a rooted "tree" or from any strict "order".  CPC is
+# the reflexive point alone (see frames_of_size).
+FRAME_SHAPES: dict[FrameClass, tuple[str, str, bool]] = {
+    K4_FRAME: ("tree", "mixed", False),
+    KD4_FRAME: ("tree", "mixed", True),
+    S4_FRAME: ("tree", "reflexive", False),
+    GL_FRAME: ("order", "irreflexive", False),
+    int_frame("BPC"): ("order", "mixed", False),
+    int_frame("FPL"): ("order", "irreflexive", False),
+    int_frame("IPC"): ("order", "reflexive", False),
+    int_frame("MPC"): ("order", "reflexive", False),
+    int_frame("CPC"): ("order", "reflexive", False),
+}
+
+
+def cluster_reflexivity(shape: tuple[str, str, bool], size: int, leaf: bool) -> tuple[bool, ...]:
+    """Whether a cluster of size nodes sees itself in a class of this shape: (True,),
+    (False,), or (False, True) where the class leaves it open.  leaf says that the
+    cluster sees no other cluster."""
+    _, cluster_kind, serial = shape
+    if cluster_kind == "reflexive" or size > 1 or (serial and leaf):
+        return (True,)
+    return (False,) if cluster_kind == "irreflexive" else (False, True)
 
 
 def _quotients(quotient_kind: str, m: int) -> list[tuple[int, ...]]:
@@ -173,7 +175,8 @@ def frames_of_size(frame_class: FrameClass, n: int) -> tuple[_Frame, ...]:
     A node of quotient cluster i sees every node of the clusters above i, and
     its own cluster's nodes when the cluster is reflexive.
     """
-    quotient_kind, cluster_kind, serial = _class_params(frame_class)
+    shape = FRAME_SHAPES[frame_class]
+    quotient_kind, cluster_kind, _ = shape
     if frame_class.kind == "Int" and frame_class.flavor == "CPC":
         return (_Frame(1, ((0,),), (1,), 1),) if n == 1 else ()
     found: dict[int, _Frame] = {}
@@ -193,12 +196,7 @@ def frames_of_size(frame_class: FrameClass, n: int) -> tuple[_Frame, ...]:
                 partial = [((), 0)]  # (rows, packed rows) of the clusters so far, one per flag choice
                 for i, s in enumerate(sizes):
                     above = members[qsucc[i]]
-                    if cluster_kind == "reflexive" or s > 1 or (serial and not qsucc[i]):
-                        rows = (above | cmask[i],)
-                    elif cluster_kind == "irreflexive":
-                        rows = (above,)
-                    else:
-                        rows = (above, above | cmask[i])
+                    rows = [above | cmask[i] if r else above for r in cluster_reflexivity(shape, s, not qsucc[i])]
                     partial = [(succ + (r,) * s, bits + r * spread[i])
                                for succ, bits in partial for r in rows]
                 for succ, bitmask in partial:
@@ -265,10 +263,6 @@ def rooted_frames_of_size(frame_class: FrameClass, n: int) -> tuple[_Frame, ...]
     return tuple(out)
 
 
-def _node_name(i: int) -> str:
-    return f"k{i}"
-
-
 def _flavor(frame_class: FrameClass) -> str | None:
     """The intuitionistic flavor, or None for a classical (modal) frame class."""
     return frame_class.flavor if frame_class.kind == "Int" else None
@@ -278,18 +272,25 @@ def _allowed_masks(frame: _Frame, persistent: bool) -> list[int]:
     return _closed_masks(frame.succ_masks) if persistent else list(range(1 << frame.n))
 
 
-def frame_model(frame: _Frame, masks: dict[str, int], frame_class: FrameClass) -> KripkeModel:
-    nodes = tuple(_node_name(i) for i in range(frame.n))
-    relation = frozenset((nodes[a], nodes[b]) for a, sm in enumerate(frame.succ_masks)
-                         for b in range(frame.n) if sm >> b & 1)
-    valuation = {
-        atom: frozenset(_node_name(i) for i in range(frame.n) if mask >> i & 1)
-        for atom, mask in masks.items()
-    }
-    clusters = None
-    if frame_class.kind in ("K4", "KD4", "S4"):
-        clusters = tuple(frozenset(_node_name(i) for i in c) for c in frame.clusters)
+def masks_model(
+    succ_masks: Sequence[int], atom_masks: dict[str, int], clusters: Sequence[Sequence[int]] | None
+) -> KripkeModel:
+    """The model on nodes k0, k1, ...: node i sees node j when bit j of
+    succ_masks[i] is set, and forces an atom when bit i of its atom mask is;
+    clusters, when given, as tuples of node indices."""
+    n = len(succ_masks)
+    nodes = tuple(f"k{i}" for i in range(n))
+    relation = frozenset((nodes[a], nodes[b]) for a, sm in enumerate(succ_masks) for b in range(n) if sm >> b & 1)
+    valuation = {atom: frozenset(nodes[i] for i in range(n) if mask >> i & 1) for atom, mask in atom_masks.items()}
+    if clusters is not None:
+        clusters = tuple(frozenset(nodes[i] for i in c) for c in clusters)
     return KripkeModel(nodes, relation, valuation, clusters)
+
+
+def frame_model(frame: _Frame, masks: dict[str, int], frame_class: FrameClass) -> KripkeModel:
+    """The model of frame under the atom masks; a tree of clusters lists its clusters."""
+    tree = FRAME_SHAPES[frame_class][0] == "tree"
+    return masks_model(frame.succ_masks, masks, frame.clusters if tree else None)
 
 
 def enumerate_models(max_nodes: int, frame_class: FrameClass, atom_set: Sequence[str]) -> Iterator[KripkeModel]:
@@ -367,6 +368,7 @@ class CompiledFormulas:
         self.roots = [compile(f) for f in formulas]
         self._plan()
 
+    # dropping it sped up small programs but took K4 on 400 boxed conjuncts at 5 nodes from 30 to 128 MB
     def _plan(self) -> None:
         """dead[idx]: the operands whose last reader is op idx, which run frees after it.
 
@@ -585,7 +587,8 @@ def _witness(batch: _Batch, frame_class: FrameClass, bad: int) -> tuple[int, tup
     v = b - batch.offsets[f]
     node = next(i for i in range(n) if bad >> i * width + b & 1)
     masks = {name: sum((row[i] >> v & 1) << i for i in range(n)) for name, row in rows.items()}
-    return f, (frame_model(frame, masks, frame_class), _node_name(node))
+    model = frame_model(frame, masks, frame_class)
+    return f, (model, model.nodes[node])
 
 
 def _verified(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from .formulas import (
     And,
@@ -271,19 +271,12 @@ InterpretationTerm = Union[SigmaAtom, Falsum, Verum, INeg, IAnd, IOr, IImp, Pr]
 _ICONN = {Neg: INeg, And: IAnd, Or: IOr, Imp: IImp}
 
 
-def interpret(
-    a: Formula, wit: Witness, sigma: Callable[[str], SigmaAtom] | dict[str, SigmaAtom] | None = None
-) -> InterpretationTerm:
+def interpret(a: Formula, wit: Witness, sigma: dict[str, SigmaAtom] | None = None) -> InterpretationTerm:
     """Substitute atoms by sigma and read the i-th box as Pr with the i-th
     witness number; boolean connectives are interpreted as themselves."""
     if not witness_check(wit, a):
         raise InvalidWitnessError(f"{wit} is not a witness for the formula")
-    if sigma is None:
-        lookup = SigmaAtom
-    elif isinstance(sigma, dict):
-        lookup = lambda name: sigma.get(name, SigmaAtom(name))
-    else:
-        lookup = sigma
+    lookup = SigmaAtom if sigma is None else lambda name: sigma.get(name, SigmaAtom(name))
 
     numbers = reversed(wit)
 

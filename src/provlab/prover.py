@@ -55,7 +55,7 @@ from .formulas import (
     preorder,
     print_formula,
 )
-from .frames import find_countermodel
+from .frames import FRAME_SHAPES, cluster_reflexivity, find_countermodel, masks_model
 from .kripke import (
     FrameClass,
     GL_FRAME,
@@ -130,7 +130,6 @@ def normalize_top(f: Formula) -> Formula:
 class _Macro:
     kind: str
     ante: dict
-    succ: dict
     principal: Formula | None
     subs: tuple["_Macro", ...] = ()
 
@@ -339,7 +338,7 @@ def _decide(
 
     # closure
     if BOT in ante:
-        return done(_Macro("close-bot", ante, succ, BOT))
+        return done(_Macro("close-bot", ante, BOT))
 
     # one scan of each side: the formulas shared for close-id, and the principal
     # candidates of the first rule of _INVERTIBLE that has one (rank best)
@@ -359,7 +358,7 @@ def _decide(
                 cands.append(g)
     if shared:
         f = shared[0] if len(shared) == 1 else min(shared, key=st.skeys.__getitem__)
-        return done(_Macro("close-id", ante, succ, f))
+        return done(_Macro("close-id", ante, f))
     for g in succ:
         r = succ_rank.get(g.__class__)
         if r is not None and r <= best:
@@ -383,7 +382,7 @@ def _decide(
             if sub is None:
                 return fail(witness)  # the failing premise's world refutes this sequent too
             subs.append(sub)
-        return done(_Macro(rule.kind, ante, succ, f, tuple(subs)))
+        return done(_Macro(rule.kind, ante, f, tuple(subs)))
 
     # modal leaf: only atoms, bot and boxes remain
     history = st.history
@@ -404,7 +403,7 @@ def _decide(
         sub, witness = _decide(st, pante, psucc, frozenset())
         if sub is not None:
             del history[key]
-            return done(_Macro(kind, ante, succ, bf, (sub,)))
+            return done(_Macro(kind, ante, bf, (sub,)))
         children.append(witness)
     del history[key]
     return fail(_World(ante, children))
@@ -413,11 +412,10 @@ def _decide(
 # -- reading a countermodel off a failure witness ------------------------------
 
 
-def _world_graph(root: _World) -> tuple[list[_World], list[list[int]], list[int], list[int]]:
+def _world_graph(root: _World) -> tuple[list[_World], list[list[int]], list[int]]:
     """The worlds that root reaches, in pre-order; each one's direct successors
-    (its children, a history hit resolved to its ancestor); each one's
-    cluster, named by the position of its shallowest world; and the
-    positions in post-order.
+    (its children, a history hit resolved to its ancestor); and each one's
+    cluster, named by the position of its shallowest world.
 
     A history hit closes a cycle through the worlds on the path from its
     ancestor down, which therefore form one cluster.  Only blocked worlds
@@ -427,7 +425,6 @@ def _world_graph(root: _World) -> tuple[list[_World], list[list[int]], list[int]
     The walk keeps an explicit stack, as deep as the chain of modal leaves.
     """
     worlds, pos, succ, parent = [root], {root: 0}, [[]], [0]
-    post = []
     stack = [(0, iter(root.children))]
 
     def find(i: int) -> int:
@@ -440,7 +437,6 @@ def _world_graph(root: _World) -> tuple[list[_World], list[list[int]], list[int]
         c = next(kids, None)
         if c is None:
             stack.pop()
-            post.append(i)
         elif c.__class__ is int:
             top = stack[c][0]
             succ[i].append(top)
@@ -455,58 +451,60 @@ def _world_graph(root: _World) -> tuple[list[_World], list[list[int]], list[int]
                 parent.append(j)
                 stack.append((j, iter(c.children)))
             succ[i].append(j)
-    return worlds, succ, [find(i) for i in range(len(worlds))], post
+    return worlds, succ, [find(i) for i in range(len(worlds))]
 
 
-def _search_model(logic: Logic, root: _World, names: list[str], max_nodes: int) -> KripkeModel | None:
+def _search_model(frame_class: FrameClass, root: _World, names: list[str], max_nodes: int) -> KripkeModel | None:
     """The countermodel of a failed search, refuting its goal at k0; None when it
     has more than max_nodes nodes.
 
-    A world forces the atoms of its antecedent.  The worlds of one cycle are
-    one reflexive cluster, and so is every S4 world and every KD4 world
-    without successors.  K4, KD4 and S4 need a rooted tree of clusters, so
-    the cluster quotient is unravelled into one; a GL witness has no history
-    hits, and its worlds are the nodes of an irreflexive DAG.  The relation
-    is the transitive closure; nodes are named in pre-order, k0 the root.
+    A world forces the atoms of its antecedent.  The clusters take the frame
+    class's shape (frames.FRAME_SHAPES): a tree quotient (K4, KD4, S4) is
+    unravelled, one copy of a cluster per path to it; an order quotient (GL,
+    whose witness has no history hits) keeps one copy of each, a DAG.  The
+    relation is the transitive closure of each copy seeing the copies below
+    it.  Nodes are named in pre-order, k0 the root.
     """
-    if logic == Logic.GL:
-        placed, succ, _, post = _world_graph(root)
-        if len(placed) > max_nodes:
-            return None
-        seen = [0] * len(placed)  # bit j: the world sees world j; post-order closes it bottom-up
-        for i in post:
-            for j in succ[i]:
-                seen[i] |= seen[j] | 1 << j
-        relation = frozenset((f"k{i}", f"k{j}") for i, row in enumerate(seen)
-                             for j in range(len(placed)) if row >> j & 1)
-        tree_clusters = None
-    else:
-        worlds, succ, cluster, _ = _world_graph(root)
-        members: dict[int, list[int]] = {}
-        for i, c in enumerate(cluster):
-            members.setdefault(c, []).append(i)
-        placed, tree_clusters, pairs = [], [], []
-        todo = [(0, ())]  # (cluster, the names of its copy's ancestors)
-        while todo:
-            c, above = todo.pop()
+    shape = FRAME_SHAPES[frame_class]
+    tree = shape[0] == "tree"
+    worlds, succ, cluster = _world_graph(root)
+    members: dict[int, list[int]] = {}
+    for i, c in enumerate(cluster):
+        members.setdefault(c, []).append(i)
+    node_masks: list[int] = []
+    atom_masks = dict.fromkeys(names, 0)
+    copies: list[range] = []  # each copy's nodes, in pre-order
+    done: dict[int, int] = {}  # order quotient: the nodes of each placed cluster, as a mask
+    todo = [(0, range(0))]  # (cluster, the nodes of the copy that sees it)
+    while todo:
+        c, parent = todo.pop()
+        span = done.get(c)
+        if span is None:
             ms = members[c]
-            if len(placed) + len(ms) > max_nodes:
+            if len(node_masks) + len(ms) > max_nodes:
                 return None
+            nodes = range(len(node_masks), len(node_masks) + len(ms))
             below = dict.fromkeys(cluster[j] for i in ms for j in succ[i] if cluster[j] != c)
-            names_here = tuple(f"k{len(placed) + t}" for t in range(len(ms)))
-            placed += [worlds[i] for i in ms]
-            tree_clusters.append(frozenset(names_here))
-            pairs += [(a, b) for a in above for b in names_here]
-            if (logic == Logic.S4 or len(ms) > 1 or ms[0] in succ[ms[0]]
-                    or (logic == Logic.KD4 and not below)):
-                pairs += [(a, b) for a in names_here for b in names_here]
-            todo += [(d, above + names_here) for d in reversed(below)]
-        relation = frozenset(pairs)
-        tree_clusters = tuple(tree_clusters)
-    nodes = tuple(f"k{t}" for t in range(len(placed)))
-    true_atoms = [{f.name for f in w.ante if f.__class__ is Atom} for w in placed]
-    valuation = {a: frozenset(k for k, ts in zip(nodes, true_atoms) if a in ts) for a in names}
-    return KripkeModel(nodes, relation, valuation, tree_clusters)
+            options = cluster_reflexivity(shape, len(ms), not below)
+            # where the class leaves it open, a history hit to the world itself decides
+            reflexive = options[-1] if ms[0] in succ[ms[0]] else options[0]
+            span = (1 << nodes.stop) - (1 << nodes.start)
+            node_masks += [span if reflexive else 0] * len(ms)
+            for k, i in zip(nodes, ms):
+                for f in worlds[i].ante:
+                    if f.__class__ is Atom:
+                        atom_masks[f.name] |= 1 << k
+            copies.append(nodes)
+            if not tree:
+                done[c] = span
+            todo += [(d, nodes) for d in reversed(below)]
+        for k in parent:
+            node_masks[k] |= span
+    for j, row in enumerate(node_masks):  # the transitive closure, by Warshall's rule
+        for i, other in enumerate(node_masks):
+            if other >> j & 1:
+                node_masks[i] = other | row
+    return masks_model(node_masks, atom_masks, copies if tree else None)
 
 
 # -- replaying a successful search into a primitive-rule derivation ----------
@@ -645,7 +643,7 @@ def prove(logic: Logic, s: Sequent, budget: Budget | None = None) -> ProveResult
     goal = searched.formula()
     frame_class = FRAME_OF_LOGIC[st.logic]
     max_nodes = max(budget.max_nodes, budget.escalate_nodes)
-    model = _search_model(st.logic, witness, sorted(atoms(goal)), max_nodes)
+    model = _search_model(frame_class, witness, sorted(atoms(goal)), max_nodes)
     if model is not None:
         # evidence, not trust: a model that fails either check is a bug, never a fallback
         if validate_frame(model, frame_class) != [] or check(model, "k0", goal):

@@ -50,6 +50,13 @@ def test_prove_prop_logic(capsys):
     assert payload["translated"] == "[]([]bot -> []p)"
 
 
+def test_prove_prop_reports_why_it_exhausted(capsys):
+    code, payload = run_cli(capsys, "prove", "--logic", "ebpc", "--budget-steps", "10",
+                            "((bot -> q) -> (top -> p) \\/ (q -> bot) -> bot) -> p")
+    assert code == 0 and payload["verdict"] == "exhausted"
+    assert payload["reason"] == "search budget exhausted (10 steps)"
+
+
 def test_prove_gls_reports_reduction(capsys):
     code, payload = run_cli(capsys, "prove", "--logic", "gls", "[]p -> p")
     assert payload["verdict"] == "provable"
@@ -292,6 +299,8 @@ SEP_MODEL = {"nodes": ["a|b"], "relation": [], "clusters": [["a|b"]], "valuation
      "1766856 formulas within bounds; pass sample_size to down-sample"),
     (["countermodel", "--class", "int-ipc", "[]p"], "box is not allowed in propositional input at offset 0"),
     (["countermodel", "--class", "int-bpc", "q0 -> p"], "atom 'q0' is reserved for generated formulas"),
+    (["corpus", "--atoms", "p,p", "--max-connectives", "1", "--max-degree", "0", "--sample", "100"],
+     "atom 'p' is listed more than once"),
     # an entry past the bound is refused before int() reads it (past 4300
     # digits int() itself raises), and a non-ASCII digit is no digit
     (["witness", "check", "--witness", "1" * 4301, "[]p"], "witness entry of 4301 digits is above the bound of 18"),
@@ -299,7 +308,7 @@ SEP_MODEL = {"nodes": ["a|b"], "relation": [], "clusters": [["a|b"]], "valuation
     (["translate", "--flavor", "k4gl", "--t", "9" * 19, "[]p"], "witness entry of 19 digits is above the bound of 18"),
     (["unwind", "--model", "MODEL", "--formula", "[]p", "--t", "\u00b2"], "witness entries must be naturals, got '\u00b2'"),
 ], ids=["render-length", "witness-length", "translate-length", "unwind-length", "unwind-separator",
-        "corpus-bound", "countermodel-int-box", "countermodel-int-reserved", "witness-digits",
+        "corpus-bound", "countermodel-int-box", "countermodel-int-reserved", "corpus-repeated-atom", "witness-digits",
         "render-superscript", "translate-digits", "unwind-superscript"])
 def test_input_errors_exit_2(tmp_path, capsys, argv, message):
     files = {"MODEL": UNWIND_MODEL, "SEP_MODEL": SEP_MODEL}

@@ -17,6 +17,7 @@ from provlab.formulas import (
     And,
     Box,
     Imp,
+    InputError,
     Neg,
     Or,
     is_box_free,
@@ -103,6 +104,14 @@ def test_corpus_size_counts():
     # without sampling, oversized enumerations are refused
     with pytest.raises(ValueError):
         generate_corpus(CorpusParams(atoms=("p", "q"), max_connectives=7, max_degree=3))
+
+
+def test_repeated_atom_is_refused():
+    # one leaf per listed atom would list each formula over p more than once
+    params = CorpusParams(atoms=("p", "q", "p"), max_connectives=1, max_degree=0)
+    for build in (generate_corpus, corpus_size):
+        with pytest.raises(InputError, match="atom 'p' is listed more than once"):
+            build(params)
 
 
 def test_unranking_covers_blocks():

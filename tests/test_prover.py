@@ -423,6 +423,38 @@ def test_deep_gl_refutation_needs_no_enumeration():
     assert check(res.model, "k0", s.formula()) is False
 
 
+# Search models of shapes the default corpus's small models never take, as
+# to_json() gives them: a 2-node K4 cluster below a chain, a KD4 leaf made
+# reflexive for seriality, and a GL world (k4) that the worlds k3 and k6
+# both see directly.
+RARE_SEARCH_MODELS = [
+    (Logic.K4, "[](top /\\ []([](top -> []p) -> [](top -> []p \\/ top) /\\ []bot) -> []bot)", {
+        "nodes": ["k0", "k1", "k2", "k3", "k4"],
+        "relation": [["k0", "k1"], ["k0", "k2"], ["k0", "k3"], ["k0", "k4"], ["k1", "k2"], ["k1", "k3"],
+                     ["k1", "k4"], ["k2", "k3"], ["k2", "k4"], ["k3", "k3"], ["k3", "k4"], ["k4", "k3"],
+                     ["k4", "k4"]],
+        "valuation": {"p": []}, "clusters": [["k0"], ["k1"], ["k2"], ["k3", "k4"]]}),
+    (Logic.KD4, "[](top /\\ (top -> bot) \\/ bot /\\ q /\\ top)", {
+        "nodes": ["k0", "k1"], "relation": [["k0", "k1"], ["k1", "k1"]],
+        "valuation": {"q": []}, "clusters": [["k0"], ["k1"]]}),
+    (Logic.GL, "[]([]([]([]q /\\ []q -> []bot) -> []([]q -> []q)) \\/ top -> []([]p -> []q))", {
+        "nodes": ["k0", "k1", "k2", "k3", "k4", "k5", "k6"],
+        "relation": [["k0", "k1"], ["k0", "k2"], ["k0", "k3"], ["k0", "k4"], ["k0", "k5"], ["k0", "k6"],
+                     ["k1", "k2"], ["k1", "k3"], ["k1", "k4"], ["k1", "k5"], ["k1", "k6"], ["k2", "k3"],
+                     ["k2", "k4"], ["k2", "k5"], ["k2", "k6"], ["k3", "k4"], ["k5", "k4"], ["k5", "k6"],
+                     ["k6", "k4"]],
+        "valuation": {"p": ["k3", "k4", "k5", "k6"], "q": ["k4", "k6"]}}),
+]
+
+
+@pytest.mark.parametrize("logic,text,model", RARE_SEARCH_MODELS, ids=["k4-cluster", "kd4-leaf", "gl-shared"])
+def test_rare_search_model_shapes(logic, text, model):
+    budget = Budget()
+    res = prove(logic, Sequent((), (parse_modal(text),)), budget)
+    assert isinstance(res, NotProvable) and budget.models_used == 0
+    assert (res.model.to_json(), res.node) == (model, "k0")
+
+
 def _drop_edge(m: KripkeModel, edge) -> KripkeModel:
     return KripkeModel(m.nodes, m.relation - {edge}, m.valuation, m.clusters)
 
